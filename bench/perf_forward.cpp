@@ -16,8 +16,10 @@
 // (ops::QuantizedScope), so the JSON tracks all three serving tiers.
 //
 // The batch sweep times each model at batch 1 / 8 / 32 under the
-// whole-batch conv path (ops::batched_conv) against the per-image
-// loop, in float and int8, reporting imgs/s and the batched speedup;
+// default conv column budget (whole-batch chunks) against a 1-byte
+// budget (ops::set_batched_columns_budget(1): one image per chunk, the
+// per-image schedule), in float and int8, reporting imgs/s and the
+// batched speedup;
 // a depthwise row compares the GemmPool fan-out against single-thread
 // at batch 32. The JSON header carries GemmPool::stats() so a run
 // proves the pool actually engaged.
@@ -26,8 +28,8 @@
 // Exit status is nonzero when, on any single-image forward, the GEMM
 // path is *slower* than the naive path, the dispatched SIMD kernel is
 // slower than the portable one, or (with a vectorized int8 tier) the
-// int8 path is slower than float; when the whole-batch GEMM loses to
-// the per-image loop at batch >= 8; or when (with >= 2 hardware
+// int8 path is slower than float; when the whole-batch chunks lose to
+// one-image chunks at batch >= 8; or when (with >= 2 hardware
 // threads) the threaded depthwise loses to single-thread at batch 32
 // — the CI perf smoke gates.
 #include <algorithm>
@@ -150,15 +152,15 @@ struct ModelUnderTest {
   bench::DatasetKind kind;
 };
 
-/// One point of the batch sweep: whole-batch conv path vs the
-/// per-image loop at a fixed batch size, float and int8.
+/// One point of the batch sweep: default conv column budget vs one
+/// image per chunk at a fixed batch size, float and int8.
 struct BatchRow {
   std::string model;
   int batch = 0;
-  double batched_ms = 0.0;         // ops::batched_conv() on (the default)
-  double per_image_ms = 0.0;       // ops::batched_conv() off
-  double int8_ms = 0.0;            // int8 tier, whole-batch path
-  double int8_per_image_ms = 0.0;  // int8 tier, per-image loop
+  double batched_ms = 0.0;         // default column budget
+  double per_image_ms = 0.0;       // 1-byte budget: one image per chunk
+  double int8_ms = 0.0;            // int8 tier, default budget
+  double int8_per_image_ms = 0.0;  // int8 tier, one image per chunk
   double imgs_per_s() const {
     return batched_ms > 0.0 ? batch * 1e3 / batched_ms : 0.0;
   }
@@ -213,7 +215,7 @@ int main(int argc, char** argv) {
     rows.push_back(measure_tiers(m.name + "_batch32", std::max(3, reps / 3),
                                  [&] { (void)net.forward_main(batch, nn::Mode::kEval); }));
 
-    // Batch sweep: whole-batch conv path vs the per-image loop, both at
+    // Batch sweep: whole-batch chunks vs one image per chunk, both at
     // auto pool width (the single-stream serving config the batched
     // path is built for — one wide GEMM fans out where the per-image
     // GEMMs of the deep layers sit below the dispatch threshold; on a
@@ -224,15 +226,15 @@ int main(int argc, char** argv) {
     for (const int bs : {1, 8, 32}) {
       const Tensor input = Tensor::normal(
           Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
-      // The flag flips inside each lambda (one relaxed atomic store) so
-      // the two paths can be interleaved rep by rep — see
+      // The budget flips inside each lambda (one relaxed atomic store)
+      // so the two schedules can be interleaved rep by rep — see
       // paired_median_ms on why that matters for the gated ratio.
       auto batched_fwd = [&] {
-        ops::set_batched_conv(true);
+        ops::set_batched_columns_budget(0);  // 0 = the default budget
         (void)net.forward_main(input, nn::Mode::kEval);
       };
       auto per_image_fwd = [&] {
-        ops::set_batched_conv(false);
+        ops::set_batched_columns_budget(1);  // one image per chunk
         (void)net.forward_main(input, nn::Mode::kEval);
       };
       const int batch_reps = std::max(5, reps / std::max(1, bs / 4));
@@ -246,7 +248,7 @@ int main(int argc, char** argv) {
         std::tie(row.int8_ms, row.int8_per_image_ms) =
             paired_median_ms(batch_reps, batched_fwd, per_image_fwd);
       }
-      ops::set_batched_conv(true);
+      ops::set_batched_columns_budget(0);
       std::printf(
           "  %-28s batch %2d   batched %8.3f ms (%7.1f img/s)   per-image %8.3f ms   "
           "%5.2fx   int8 %8.3f/%8.3f ms\n",
@@ -420,7 +422,8 @@ int main(int argc, char** argv) {
       regressed = true;
     }
   }
-  // Whole-batch GEMM must pay for itself once there is a real batch.
+  // Whole-batch chunks must pay for themselves once there is a real
+  // batch.
   // The 0.90 floor is a noise allowance for shared CI runners: the two
   // paths run identical arithmetic, so a real regression (a packing or
   // dispatch bug) shows up far below it while run-to-run timer jitter

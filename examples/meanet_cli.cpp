@@ -333,7 +333,7 @@ int cmd_eval(const Args& args) {
     return 2;
   }
   // All worker threads serve on the one loaded net (eval forwards are
-  // cache-free, so no replicas are needed).
+  // cache-free and const-safe).
   serve.worker_threads = std::max(1, args.threads);
   runtime::InferenceSession session(serve);
   std::printf("serving with %d worker thread(s), policy %s, backend %s\n",

@@ -163,126 +163,90 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     naive_conv_forward(input, g, out_channels_, weight, bias, output);
     return output;
   }
+  // One schedule for both tiers: the batch runs in chunks of `chunk`
+  // images, each chunk one im2col over its images into a
+  // [patch, bc*out_hw] column matrix and ONE GEMM writing straight into
+  // NCHW output. The weight panel is packed once per NC block of the
+  // chunk instead of once per image, and on a multi-thread pool the
+  // wide GEMM fans out where per-image GEMMs sat under the dispatch
+  // threshold. chunk == 1 is the per-image schedule. Each image's
+  // accumulation order is exactly the per-image GEMM's (k-blocking
+  // doesn't depend on the j extent), so the float output is
+  // bit-identical to forwarding each image alone at every chunk size
+  // and GemmPool width. All scratch is per-thread workspace, so this
+  // stays const-safe and cache-free.
+  const bool quantized = ops::quantized_inference();
   ops::Workspace& workspace = ops::Workspace::tls();
   const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
   const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
-  if (ops::quantized_inference()) {
+  const std::size_t per_image_bytes =
+      static_cast<std::size_t>(patch) * out_hw * (quantized ? 1 : sizeof(float));
+  std::size_t budget = ops::batched_columns_budget();
+  if (!quantized && ops::gemm_threads() <= 1) {
+    // Single-thread float chunks stay L2-sized: the tile is written
+    // (im2col) and immediately re-read (pack_b), so a chunk larger than
+    // the cache turns that round trip into DRAM traffic with no fan-out
+    // win to pay for it. Multi-thread keeps the configured budget —
+    // wide tiles are what feed the stripes.
+    budget = std::min(budget, std::size_t{512} << 10);
+  }
+  const int chunk = static_cast<int>(std::clamp<std::size_t>(
+      budget / std::max<std::size_t>(1, per_image_bytes), 1,
+      static_cast<std::size_t>(std::max(1, batch))));
+
+  float* columns = nullptr;
+  std::uint8_t* tile = nullptr;
+  std::uint8_t* act = nullptr;
+  std::int8_t* wq = nullptr;
+  float* scales = nullptr;
+  std::int32_t* row_sums = nullptr;
+  float a_scale = 0.0f;
+  const int k_padded = ops::quantized_k_padded(patch);
+  if (quantized) {
     // int8 serving path: quantize the (possibly BN-folded) weights per
-    // row once per call; per image quantize the input tile per-tensor
-    // and expand it with the byte-domain im2col (quantization is
-    // pointwise and im2col only replicates pixels / pads zero-point
-    // bytes, so the byte matrix is exactly what quantizing a float
-    // im2col would give — for C*H*W instead of patch*out_hw quantize
-    // work and a quarter of the copy traffic). The bias lands in the
-    // requantization epilogue. All scratch is per-thread workspace —
-    // this path stays const-safe and cache-free like the float path.
-    const int k_padded = ops::quantized_k_padded(patch);
-    auto* wq = reinterpret_cast<std::int8_t*>(workspace.byte_buffer(
+    // row once per call, and the activations with ONE per-tensor scale
+    // over the whole batch (max|x|/127, chunk-invariant — it is
+    // computed before chunking, so chunking never changes results; it
+    // makes the codes slightly coarser than per-image scales for images
+    // quieter than the batch peak, the usual per-tensor batching
+    // tradeoff). Each chunk is quantized to bytes and expanded with the
+    // byte-domain im2col; the bias lands in the requantization
+    // epilogue.
+    wq = reinterpret_cast<std::int8_t*>(workspace.byte_buffer(
         ops::Workspace::kQuantWeights, static_cast<std::size_t>(out_channels_) * k_padded));
-    float* scales =
+    scales =
         workspace.buffer(ops::Workspace::kQuantScales, static_cast<std::size_t>(out_channels_));
-    auto* row_sums = reinterpret_cast<std::int32_t*>(workspace.byte_buffer(
+    row_sums = reinterpret_cast<std::int32_t*>(workspace.byte_buffer(
         ops::Workspace::kQuantRowSums,
         static_cast<std::size_t>(out_channels_) * sizeof(std::int32_t)));
     ops::quantize_weight_rows(weight, out_channels_, patch, wq, scales, row_sums);
-    if (ops::batched_conv() && batch > 1) {
-      // Whole-batch int8: one activation scale for the whole batch
-      // (quantize-once-per-batch) and one qgemm per column chunk. The
-      // scale is max|x|/127 over all images — chunk-invariant, so the
-      // byte-budget chunking below never changes results; it does make
-      // the codes (slightly) coarser than per-image scales for images
-      // quieter than the batch peak, which is the usual per-tensor
-      // batching tradeoff (the parity tests bound it).
-      const float a_scale =
-          ops::activation_scale(input.data(), static_cast<std::size_t>(batch) * in_stride);
-      const std::size_t per_image_bytes = static_cast<std::size_t>(patch) * out_hw;
-      const std::size_t budget_images =
-          std::max<std::size_t>(1, ops::batched_columns_budget() / std::max<std::size_t>(
-                                                                       1, per_image_bytes));
-      const int chunk = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(batch), budget_images));
-      std::uint8_t* tile = workspace.byte_buffer(
-          ops::Workspace::kQuantTile, static_cast<std::size_t>(chunk) * in_stride);
-      std::uint8_t* act =
-          workspace.byte_buffer(ops::Workspace::kQuantAct, per_image_bytes * chunk);
-      for (int n0 = 0; n0 < batch; n0 += chunk) {
-        const int bc = std::min(chunk, batch - n0);
-        ops::quantize_activations_u8(input.data() + n0 * in_stride,
-                                     static_cast<std::size_t>(bc) * in_stride, a_scale, tile);
-        ops::im2col_u8_batched(tile, in_stride, bc, g, act);
-        ops::qgemm_u8s8_batched_nchw(out_channels_, bc, out_hw, patch, k_padded, wq, scales,
-                                     row_sums, act, a_scale, bias,
-                                     output.data() + n0 * out_stride, out_stride, out_hw);
-      }
-      return output;
-    }
-    std::uint8_t* tile = workspace.byte_buffer(
-        ops::Workspace::kQuantTile, static_cast<std::size_t>(in_stride));
-    std::uint8_t* act = workspace.byte_buffer(
-        ops::Workspace::kQuantAct, static_cast<std::size_t>(patch) * out_hw);
-    for (int n = 0; n < batch; ++n) {
-      const float* image = input.data() + n * in_stride;
-      const float a_scale = ops::activation_scale(image, static_cast<std::size_t>(in_stride));
-      ops::quantize_activations_u8(image, static_cast<std::size_t>(in_stride), a_scale, tile);
-      ops::im2col_u8(tile, g, act);
-      ops::qgemm_u8s8(out_channels_, out_hw, patch, k_padded, wq, scales, row_sums, act, a_scale,
-                      bias, output.data() + n * out_stride, out_hw);
-    }
-    return output;
-  }
-  // Whole-batch float path: pack every image's patch columns into one
-  // [patch, bc*out_hw] matrix and run ONE striped GEMM per chunk — the
-  // A (weight) panel is packed once per NC block of the whole chunk
-  // instead of once per image, and on a multi-thread pool the one wide
-  // GEMM fans out where the per-image GEMMs sat under the dispatch
-  // threshold. The per-element accumulation order inside an image's
-  // column block is exactly the per-image GEMM's (k-blocking doesn't
-  // depend on the j extent), so this is bit-identical to the loop
-  // below at every GemmPool width and every chunk size.
-  int chunk = 0;
-  if (ops::batched_conv() && batch > 1 && ops::batched_conv_pays(out_hw)) {
-    const std::size_t per_image_bytes =
-        static_cast<std::size_t>(patch) * out_hw * sizeof(float);
-    std::size_t budget = ops::batched_columns_budget();
-    if (ops::gemm_threads() <= 1) {
-      // Single-thread chunks stay L2-sized: the tile is written
-      // (im2col) and immediately re-read (pack_b), so a chunk larger
-      // than the cache turns that round trip into DRAM traffic with no
-      // fan-out win to pay for it. Multi-thread keeps the configured
-      // budget — wide tiles are what feed the stripes.
-      budget = std::min(budget, std::size_t{512} << 10);
-    }
-    chunk = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(batch),
-        std::max<std::size_t>(1, budget / std::max<std::size_t>(1, per_image_bytes))));
-  }
-  if (chunk > 1) {
-    // A chunk of one image would replay the per-image schedule through
-    // the strided machinery — all bookkeeping, zero amortization — so
-    // when the budget can't fit two images' columns the plain loop
-    // below takes over (same results either way).
-    float* columns = workspace.buffer(
-        ops::Workspace::kIm2col, static_cast<std::size_t>(patch) * chunk * out_hw);
-    for (int n0 = 0; n0 < batch; n0 += chunk) {
-      const int bc = std::min(chunk, batch - n0);
-      ops::im2col_batched(input.data() + n0 * in_stride, in_stride, bc, g, columns);
-      ops::gemm_batched_nchw(out_channels_, patch, bc, out_hw, weight, patch, columns,
-                             output.data() + n0 * out_stride, out_stride, out_hw);
-    }
+    a_scale = ops::activation_scale(input.data(), static_cast<std::size_t>(batch) * in_stride);
+    tile = workspace.byte_buffer(ops::Workspace::kQuantTile,
+                                 static_cast<std::size_t>(chunk) * in_stride);
+    act = workspace.byte_buffer(ops::Workspace::kQuantAct, per_image_bytes * chunk);
   } else {
-    float* columns = workspace.buffer(
-        ops::Workspace::kIm2col, static_cast<std::size_t>(patch) * out_hw);
-    for (int n = 0; n < batch; ++n) {
-      ops::im2col(input.data() + n * in_stride, g, columns);
-      // output[n] = W [out_c, patch] * columns [patch, out_hw]
-      ops::gemm(false, false, out_channels_, out_hw, patch, 1.0f, weight, patch, columns, out_hw,
-                0.0f, output.data() + n * out_stride, out_hw);
+    columns = workspace.buffer(ops::Workspace::kIm2col,
+                               static_cast<std::size_t>(patch) * chunk * out_hw);
+  }
+  for (int n0 = 0; n0 < batch; n0 += chunk) {
+    const int bc = std::min(chunk, batch - n0);
+    const float* images = input.data() + n0 * in_stride;
+    float* out = output.data() + n0 * out_stride;
+    if (quantized) {
+      ops::quantize_activations_u8(images, static_cast<std::size_t>(bc) * in_stride, a_scale,
+                                   tile);
+      ops::im2col_u8_batched(tile, in_stride, bc, g, act);
+      ops::qgemm_u8s8_batched_nchw(out_channels_, bc, out_hw, patch, k_padded, wq, scales,
+                                   row_sums, act, a_scale, bias, out, out_stride, out_hw);
+    } else {
+      ops::im2col_batched(images, in_stride, bc, g, columns);
+      ops::gemm_batched_nchw(out_channels_, patch, bc, out_hw, weight, patch, columns, out,
+                             out_stride, out_hw);
     }
   }
-  if (bias != nullptr) {
-    // Bias is a post-GEMM epilogue in both branches (prefilling C would
-    // change the float addition order and break batched/per-image
-    // bit-identity).
+  if (!quantized && bias != nullptr) {
+    // Float bias is a post-GEMM epilogue: gemm_batched_nchw overwrites
+    // its output (beta = 0), so the bias can't be prefilled into C.
     for (int n = 0; n < batch; ++n) {
       for (int oc = 0; oc < out_channels_; ++oc) {
         float* dst = output.data() + n * out_stride + static_cast<std::int64_t>(oc) * out_hw;

@@ -3,10 +3,9 @@
 // Historically this backed replica-based serving: eval forwards cached
 // activations, so every InferenceSession worker needed its own
 // weight-synced net. Eval forwards are cache-free now and workers share
-// one net (EngineConfig::replicas is a deprecated no-op) — sync_weights
-// remains as the model-distribution primitive: pushing a freshly
-// trained net to a deployed one (paper Alg. 1 step 4, "download to the
-// edge") bit-identically.
+// one net — sync_weights remains as the model-distribution primitive:
+// pushing a freshly trained net to a deployed one (paper Alg. 1 step 4,
+// "download to the edge") bit-identically.
 #pragma once
 
 #include "core/meanet.h"

@@ -13,8 +13,8 @@ namespace {
 /// Shared im2col writer over floats (fill 0) or u8 codes (fill the
 /// activation zero point). `columns` points at the image's own column
 /// block; `col_ld` is the row stride of the enclosing matrix — out_hw
-/// for the single-image entry points, batch*out_hw when a batch of
-/// blocks sits side by side (im2col_batched).
+/// for the single-image entry point, batch*out_hw when a batch of
+/// blocks sits side by side (the _batched entry points).
 template <typename T>
 void im2col_into(const T* image, const ConvGeometry& g, T* columns, std::ptrdiff_t col_ld,
                  T fill) {
@@ -68,10 +68,6 @@ constexpr std::uint8_t kU8ZeroPoint = 128;
 
 void im2col(const float* image, const ConvGeometry& g, float* columns) {
   im2col_into<float>(image, g, columns, g.out_height() * g.out_width(), 0.0f);
-}
-
-void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns) {
-  im2col_into<std::uint8_t>(image, g, columns, g.out_height() * g.out_width(), kU8ZeroPoint);
 }
 
 void im2col_batched(const float* images, std::int64_t image_stride, int batch,

@@ -45,35 +45,17 @@ void set_naive_kernels(bool naive);
 int gemm_threads();
 void set_gemm_threads(int threads);
 
-/// True while conv forwards fold the whole batch into one im2col +
-/// GEMM (gemm_batched_nchw) instead of issuing one small GEMM per
-/// image. Default on; MEANET_BATCHED_CONV=0 (or set_batched_conv
-/// (false)) restores the per-image loop — the comparison baseline of
-/// bench/perf_forward's batch sweep. The float output is bit-identical
-/// either way; the int8 path's activation scale becomes per-batch
-/// instead of per-image (see conv2d.cpp).
-bool batched_conv();
-void set_batched_conv(bool batched);
-
-/// Cost-model gate of the float whole-batch path for a layer whose
-/// per-image GEMM has `cols_per_image` columns: batching pays when one
-/// image underfills the GEMM's NC panel (then the batched GEMM packs
-/// the A (weight) panel once per NC block instead of once per image)
-/// or when the pool is multi-threaded (one wide GEMM fans out better
-/// than many narrow ones). When neither holds, the batched tile only
-/// adds cache footprint, so conv falls back to the per-image loop —
-/// results are bit-identical either way, this is purely a speed
-/// choice.
-bool batched_conv_pays(int cols_per_image);
-
-/// Byte budget of the whole-batch im2col column tile. A batch whose
-/// column matrix would exceed this is processed in per-image chunks
-/// that fit (always at least one image), bounding workspace growth on
-/// batch-256 soaks; chunking never changes results (each image's
-/// accumulation is independent and the int8 activation scale is
-/// computed over the whole batch before chunking). Default 64 MiB;
-/// MEANET_BATCH_COLUMNS_MB overrides at startup,
-/// set_batched_columns_budget(0) restores the default.
+/// Byte budget of the conv column tile. Conv2d runs one schedule for
+/// the float and int8 tiers: the batch goes through in chunks of as
+/// many images as this budget holds (always at least one), each chunk
+/// one im2col + one GEMM (gemm_batched_nchw / qgemm_u8s8_batched_nchw)
+/// into NCHW output. On a one-thread pool the float tile is also
+/// clamped to 512 KiB so it stays L2-resident between im2col and
+/// packing. Chunking never changes results: each image's accumulation
+/// order is the per-image GEMM's, and the int8 activation scale is
+/// computed over the whole batch before chunking. Default 64 MiB;
+/// set_batched_columns_budget(0) restores it, and a budget of 1 byte
+/// forces one image per chunk (the per-image schedule).
 std::size_t batched_columns_budget();
 void set_batched_columns_budget(std::size_t bytes);
 
@@ -125,13 +107,6 @@ struct ConvGeometry {
 /// `columns` must have patch_size() * out_h * out_w elements.
 void im2col(const float* image, const ConvGeometry& g, float* columns);
 
-/// im2col over a u8-quantized image for the int8 serving path. Padding
-/// positions are filled with qgemm.h's activation zero point (the code
-/// a float 0 quantizes to), so quantize-then-im2col produces exactly
-/// the byte matrix im2col-then-quantize would — at a quarter of the
-/// memory traffic and without the float scratch.
-void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns);
-
 /// Whole-batch im2col: image n (NCHW images `image_stride` floats
 /// apart) lands in columns [n*out_hw, (n+1)*out_hw) of one
 /// [patch_size, batch*out_hw] matrix — the B operand of
@@ -141,6 +116,10 @@ void im2col_batched(const float* images, std::int64_t image_stride, int batch,
                     const ConvGeometry& g, float* columns);
 
 /// Byte-domain twin of im2col_batched for the int8 serving path.
+/// Padding positions are filled with qgemm.h's activation zero point
+/// (the code a float 0 quantizes to), so quantize-then-im2col produces
+/// exactly the byte matrix im2col-then-quantize would, at a quarter of
+/// the memory traffic and without the float scratch.
 void im2col_u8_batched(const std::uint8_t* images, std::int64_t image_stride, int batch,
                        const ConvGeometry& g, std::uint8_t* columns);
 

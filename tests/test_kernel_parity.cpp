@@ -12,6 +12,9 @@
 //    TSAN to verify the absence of data races mechanically);
 //  - the row-striped GemmPool threading is bit-identical to
 //    single-thread at every pool width;
+//  - the chunked conv schedule is bit-identical to forwarding each
+//    image alone at every column budget and pool width (float), and
+//    at every chunk size and pool width against itself (int8);
 //  - the runtime-dispatched SIMD microkernel matches the portable
 //    4x16 within float-rounding tolerance, and each fixed kernel is
 //    bit-identical across thread counts;
@@ -21,10 +24,12 @@
 //    and VNNI kernels produce bit-identical results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -451,21 +456,9 @@ TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
   EXPECT_TRUE(allclose(naive, fast, 1e-6f));
 }
 
-// ----- Whole-batch conv (ops::batched_conv) ----------------------------
+// ----- Chunked conv schedule (ops::batched_columns_budget) -------------
 
-/// RAII set/restore of the batched-conv toggle.
-class BatchedConvScope {
- public:
-  explicit BatchedConvScope(bool on) : previous_(ops::batched_conv()) {
-    ops::set_batched_conv(on);
-  }
-  ~BatchedConvScope() { ops::set_batched_conv(previous_); }
-
- private:
-  bool previous_;
-};
-
-/// RAII set/restore of the batched-column byte budget.
+/// RAII set/restore of the conv column byte budget.
 class ColumnBudgetScope {
  public:
   explicit ColumnBudgetScope(std::size_t bytes) : previous_(ops::batched_columns_budget()) {
@@ -477,77 +470,101 @@ class ColumnBudgetScope {
   std::size_t previous_;
 };
 
-class BatchedParity : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-// batch, stride, padding
+/// The reference every conv schedule must match: each image of `x`
+/// forwarded alone as a batch of one.
+Tensor forward_each_image_alone(nn::Conv2d& conv, const Tensor& x) {
+  const int batch = x.shape().batch();
+  Tensor out(conv.output_shape(x.shape()));
+  const std::int64_t stride = out.numel() / batch;
+  for (int n = 0; n < batch; ++n) {
+    const Tensor y = conv.forward(ops::gather_rows(x, {n}), nn::Mode::kEval);
+    std::copy_n(y.data(), stride, out.data() + n * stride);
+  }
+  return out;
+}
 
-TEST_P(BatchedParity, WholeBatchFloatIsBitIdenticalToPerImage) {
-  const auto [batch, stride, padding] = GetParam();
+/// Column budgets of the parity tests: everything in one tile, two
+/// images per chunk, and one image per chunk.
+enum class Budget { kOneGiB, kTwoImages, kOneByte };
+
+void PrintTo(Budget budget, std::ostream* os) {
+  static const char* const kNames[] = {"1GiB", "2images", "1byte"};
+  *os << kNames[static_cast<int>(budget)];
+}
+
+std::size_t budget_bytes(Budget budget, std::size_t per_image_bytes) {
+  switch (budget) {
+    case Budget::kOneGiB:
+      return std::size_t{1} << 30;
+    case Budget::kTwoImages:
+      return 2 * per_image_bytes;
+    case Budget::kOneByte:
+      break;
+  }
+  return 1;
+}
+
+/// Float conv of `x` under `budget` at pool widths 1, 2 and 4 must be
+/// bit-identical to forwarding each image alone.
+void expect_float_matches_images_alone(nn::Conv2d& conv, const Tensor& x, Budget budget) {
+  const Tensor alone = forward_each_image_alone(conv, x);
+  const Shape out = alone.shape();
+  const std::size_t patch = static_cast<std::size_t>(conv.in_channels()) * conv.kernel() *
+                            conv.kernel();
+  const std::size_t per_image_bytes = patch * out.dim(2) * out.dim(3) * sizeof(float);
+  ColumnBudgetScope scope(budget_bytes(budget, per_image_bytes));
+  const int before = ops::gemm_threads();
+  for (const int threads : {1, 2, 4}) {
+    ops::set_gemm_threads(threads);
+    const Tensor batched = conv.forward(x, nn::Mode::kEval);
+    // Exactly equal, not merely close: each chunk's GEMM runs every
+    // image's column block through the same k-blocking as the
+    // one-image call.
+    EXPECT_TRUE(allclose(alone, batched, 0.0f))
+        << "threads=" << threads << " budget=" << ::testing::PrintToString(budget);
+  }
+  ops::set_gemm_threads(before);
+}
+
+class BatchedParity : public ::testing::TestWithParam<std::tuple<int, int, int, Budget>> {};
+// batch, stride, padding, column budget
+
+TEST_P(BatchedParity, FloatIsBitIdenticalToEachImageAlone) {
+  const auto [batch, stride, padding, budget] = GetParam();
   util::Rng rng(static_cast<std::uint64_t>(batch * 911 + stride * 31 + padding));
   nn::Conv2d conv(3, 8, 3, stride, padding, /*bias=*/true, rng);
   const int size = 9;  // odd, so strides hit ragged edges
   if (conv.output_shape(Shape{1, 3, size, size}).height() <= 0) GTEST_SKIP();
   const Tensor x = Tensor::normal(Shape{batch, 3, size, size}, rng);
-  Tensor per_image, batched;
-  {
-    BatchedConvScope scope(false);
-    per_image = conv.forward(x, nn::Mode::kEval);
-  }
-  {
-    BatchedConvScope scope(true);
-    batched = conv.forward(x, nn::Mode::kEval);
-  }
-  ASSERT_EQ(per_image.shape(), batched.shape());
-  // Exactly equal, not merely close: the batched GEMM runs each image's
-  // column block through the same k-blocking as the per-image call.
-  EXPECT_TRUE(allclose(per_image, batched, 0.0f))
-      << "b=" << batch << " s=" << stride << " p=" << padding;
+  expect_float_matches_images_alone(conv, x, budget);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeededShapes, BatchedParity,
                          ::testing::Combine(::testing::Values(1, 3, 32),
                                             ::testing::Values(1, 2),
-                                            ::testing::Values(0, 1, 2)));
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(Budget::kOneGiB,
+                                                              Budget::kTwoImages,
+                                                              Budget::kOneByte)));
 
-TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAtOneTwoAndFourThreads) {
+TEST(BatchedParity, FloatIsBitIdenticalAtOneTwoAndFourThreads) {
   util::Rng rng(83);
   // Big enough that the batched GEMM crosses the multi-thread flops
   // threshold (the whole point: per-image GEMMs of this layer stay
   // below it, the batched one fans out).
   nn::Conv2d conv(8, 32, 3, 1, 1, /*bias=*/true, rng);
   const Tensor x = Tensor::normal(Shape{8, 8, 14, 14}, rng);
-  Tensor per_image;
-  {
-    BatchedConvScope scope(false);
-    per_image = conv.forward(x, nn::Mode::kEval);
-  }
-  BatchedConvScope scope(true);
-  const int before = ops::gemm_threads();
-  for (const int threads : {1, 2, 4}) {
-    ops::set_gemm_threads(threads);
-    const Tensor batched = conv.forward(x, nn::Mode::kEval);
-    EXPECT_TRUE(allclose(per_image, batched, 0.0f)) << "threads=" << threads;
-  }
-  ops::set_gemm_threads(before);
+  expect_float_matches_images_alone(conv, x, Budget::kOneGiB);
 }
 
-TEST(BatchedParity, ByteBudgetFallbackIsBitIdentical) {
-  util::Rng rng(89);
+TEST(BatchedParity, FloatIsBitIdenticalWhenOneImageFillsTheNcPanel) {
+  util::Rng rng(87);
+  // 32x32 input, 3x3, stride 1, padding 1: one image's GEMM already has
+  // out_hw = 1024 columns, a full NC panel of the blocked GEMM.
   nn::Conv2d conv(3, 8, 3, 1, 1, /*bias=*/true, rng);
-  const Tensor x = Tensor::normal(Shape{5, 3, 9, 9}, rng);
-  BatchedConvScope batched_scope(true);
-  Tensor whole_batch;
-  {
-    ColumnBudgetScope budget(1u << 30);  // everything fits in one tile
-    whole_batch = conv.forward(x, nn::Mode::kEval);
-  }
-  // patch=27, out_hw=81 -> one image's columns are 27*81*4 bytes. A
-  // budget of two images forces 2/2/1 chunks; 1 byte forces per-image
-  // chunks through the batched machinery.
-  const std::size_t per_image_bytes = 27u * 81u * sizeof(float);
-  for (const std::size_t budget_bytes : {2 * per_image_bytes, std::size_t{1}}) {
-    ColumnBudgetScope budget(budget_bytes);
-    const Tensor chunked = conv.forward(x, nn::Mode::kEval);
-    EXPECT_TRUE(allclose(whole_batch, chunked, 0.0f)) << "budget=" << budget_bytes;
+  const Tensor x = Tensor::normal(Shape{4, 3, 32, 32}, rng);
+  for (const Budget budget : {Budget::kOneGiB, Budget::kTwoImages, Budget::kOneByte}) {
+    expect_float_matches_images_alone(conv, x, budget);
   }
 }
 
@@ -560,18 +577,12 @@ TEST(BatchedParity, WholeBatchInt8TracksPerImageScalesWithinTolerance) {
   for (std::int64_t i = 0; i < fp.numel(); ++i) max_abs = std::max(max_abs, std::fabs(fp[i]));
   const float tolerance = 0.05f * std::max(1.0f, max_abs);
   ops::QuantizedScope quantized(true);
-  Tensor per_image, batched;
-  {
-    BatchedConvScope scope(false);
-    per_image = conv.forward(x, nn::Mode::kEval);
-  }
-  {
-    BatchedConvScope scope(true);
-    batched = conv.forward(x, nn::Mode::kEval);
-  }
+  // Forwarded alone, each image gets its own activation scale.
+  const Tensor per_image = forward_each_image_alone(conv, x);
+  const Tensor batched = conv.forward(x, nn::Mode::kEval);
   // The batch-wide activation scale is coarser than per-image scales,
-  // so the two int8 paths differ by (bounded) quantization error — both
-  // must still track the float forward.
+  // so the two differ by (bounded) quantization error — both must
+  // still track the float forward.
   for (std::int64_t i = 0; i < fp.numel(); ++i) {
     ASSERT_NEAR(fp[i], batched[i], tolerance) << "i=" << i;
     ASSERT_NEAR(per_image[i], batched[i], tolerance) << "i=" << i;
@@ -583,7 +594,6 @@ TEST(BatchedParity, Int8BatchedIsBitIdenticalAcrossThreadsAndChunks) {
   nn::Conv2d conv(8, 16, 3, 1, 1, /*bias=*/true, rng);
   const Tensor x = Tensor::normal(Shape{5, 8, 12, 12}, rng);
   ops::QuantizedScope quantized(true);
-  BatchedConvScope batched_scope(true);
   const int before = ops::gemm_threads();
   ops::set_gemm_threads(1);
   Tensor baseline;

@@ -5,8 +5,8 @@
 // requests through ONE shared WireServer batch queue, so concurrent
 // sessions' uploads coalesce into cross-session cloud batches.
 //
-//   meanet_cloudd --socket /tmp/meanet.sock --seed 7 \
-//       --image-channels 3 --classes 10 [--model weights.bin] \
+//   meanet_cloudd --socket /tmp/meanet.sock --seed 7
+//       --image-channels 3 --classes 10 [--model weights.bin]
 //       [--max-batch 32] [--batch-window-ms 2] [--stats-every-s 10]
 //
 // The cloud classifier is built deterministically from --seed (same
