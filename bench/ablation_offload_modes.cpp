@@ -1,7 +1,7 @@
 // Ablation (paper §III-C): raw-data offload (independent cloud model,
 // the paper's choice) vs feature offload (partitioned network) vs no
 // cloud at all — all three served through the SAME runtime
-// InferenceSession, differing only in the EngineConfig's offload mode.
+// InferenceSession, differing only in the EngineConfig's offload backend.
 // Measures end-to-end routed accuracy, cloud-path accuracy and upload
 // payload per offloaded instance for each backend.
 #include <cstdio>
@@ -48,17 +48,16 @@ int main() {
   }
   const double feature_acc = static_cast<double>(feature_correct) / test.size();
 
-  // One serving configuration; only the offload mode changes per row.
+  // One serving configuration; only the offload backend changes per row
+  // (null = no cloud).
   const sim::WifiModel wifi;
-  auto serve_with = [&](runtime::OffloadMode mode) {
+  auto serve_with = [&](std::shared_ptr<runtime::OffloadBackend> backend) {
     runtime::EngineConfig cfg;
     cfg.net = &system.net;
     cfg.dict = &system.dict;
-    cfg.policy_config.cloud_available = mode != runtime::OffloadMode::kNone;
+    cfg.policy_config.cloud_available = backend != nullptr;
     cfg.policy_config.entropy_threshold = 0.6;
-    cfg.offload_mode = mode;
-    cfg.cloud = &cloud;
-    cfg.feature_cloud = &feature_cloud;
+    cfg.backend = std::move(backend);
     runtime::InferenceSession session(cfg);
     const auto results = session.run(test);
     std::int64_t correct = 0;
@@ -72,9 +71,9 @@ int main() {
     return Row{static_cast<double>(correct) / test.size(),
                runtime::count_routes(results).cloud_fraction()};
   };
-  const auto raw_row = serve_with(runtime::OffloadMode::kRawImage);
-  const auto feature_row = serve_with(runtime::OffloadMode::kFeature);
-  const auto none_row = serve_with(runtime::OffloadMode::kNone);
+  const auto raw_row = serve_with(std::make_shared<runtime::RawImageBackend>(&cloud));
+  const auto feature_row = serve_with(std::make_shared<runtime::FeatureBackend>(&feature_cloud));
+  const auto none_row = serve_with(nullptr);
 
   // Price the payloads through the same backend seam the session uses,
   // so the printed columns cannot diverge from what serving charges.

@@ -8,6 +8,8 @@
 
 #include "common.h"
 #include "core/complexity.h"
+#include "runtime/session.h"
+#include "sim/cloud_node.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;
@@ -39,12 +41,16 @@ void sweep(bench::EdgeModel model, bench::DatasetKind kind) {
   // 0-3 range corresponds to 100-class softmax entropies.
   for (const double threshold :
        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.85, 1.0}) {
-    core::PolicyConfig policy;
-    policy.cloud_available = true;
-    policy.entropy_threshold = threshold;
-    sim::EdgeNode edge(system.net, system.dict, policy, costs);
-    sim::DistributedSystem distributed(std::move(edge), &cloud);
-    const sim::SystemReport report = distributed.run(system.data.test);
+    runtime::EngineConfig cfg;
+    cfg.net = &system.net;
+    cfg.dict = &system.dict;
+    cfg.policy_config.cloud_available = true;
+    cfg.policy_config.entropy_threshold = threshold;
+    cfg.backend = std::make_shared<runtime::RawImageBackend>(&cloud);
+    cfg.costs = costs;
+    runtime::InferenceSession session(cfg);
+    const sim::SystemReport report =
+        sim::summarize(session.run(system.data.test), system.data.test, system.dict);
     std::printf("%-10.2f %12.2f %14.1f\n", threshold, 100.0 * report.accuracy,
                 100.0 * report.cloud_fraction);
   }

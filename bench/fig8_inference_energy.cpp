@@ -11,6 +11,8 @@
 #include <cstdio>
 
 #include "common.h"
+#include "runtime/session.h"
+#include "sim/cloud_node.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;
@@ -49,12 +51,21 @@ void run(bench::EdgeModel model, bench::DatasetKind kind, const PaperCosts& pape
                 100.0 * beta, 100.0 * accuracy);
   };
 
+  // Routed runs with zero costs: energy is recomputed in print_row from
+  // the paper constants. A null backend serves the edge-only row.
+  auto serve = [&](core::PolicyConfig policy, std::shared_ptr<runtime::OffloadBackend> backend) {
+    runtime::EngineConfig cfg;
+    cfg.net = &system.net;
+    cfg.dict = &system.dict;
+    cfg.policy_config = policy;
+    cfg.backend = std::move(backend);
+    runtime::InferenceSession session(cfg);
+    return sim::summarize(session.run(system.data.test), system.data.test, system.dict);
+  };
+
   // Edge-only row.
   {
-    sim::EdgeNodeCosts costs;  // energy recomputed below from paper constants
-    sim::EdgeNode edge(system.net, system.dict, core::PolicyConfig{}, costs);
-    sim::DistributedSystem distributed(std::move(edge), nullptr);
-    const sim::SystemReport r = distributed.run(system.data.test);
+    const sim::SystemReport r = serve(core::PolicyConfig{}, nullptr);
     const double ext_fraction =
         static_cast<double>(r.routes.extension_exit) / r.routes.total();
     print_row("edge only", 0.0, ext_fraction, r.accuracy);
@@ -67,10 +78,7 @@ void run(bench::EdgeModel model, bench::DatasetKind kind, const PaperCosts& pape
     core::PolicyConfig policy;
     policy.cloud_available = true;
     policy.entropy_threshold = threshold;
-    sim::EdgeNodeCosts costs;
-    sim::EdgeNode edge(system.net, system.dict, policy, costs);
-    sim::DistributedSystem distributed(std::move(edge), &cloud);
-    const sim::SystemReport r = distributed.run(system.data.test);
+    const sim::SystemReport r = serve(policy, std::make_shared<runtime::RawImageBackend>(&cloud));
     const double ext_fraction =
         static_cast<double>(r.routes.extension_exit) / r.routes.total();
     char name[32];

@@ -4,7 +4,9 @@
 #include <cstdio>
 
 #include "common.h"
+#include "sim/device_model.h"
 #include "sim/energy_model.h"
+#include "sim/wifi_model.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;

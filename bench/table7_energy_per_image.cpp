@@ -7,6 +7,8 @@
 #include <cstdio>
 
 #include "common.h"
+#include "sim/device_model.h"
+#include "sim/wifi_model.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;

@@ -50,6 +50,7 @@
 #include "sim/cloud_node.h"
 #include "sim/shared_cell.h"
 #include "wire/process.h"
+#include "wire/wire_backend.h"
 
 using namespace meanet;
 
@@ -163,13 +164,15 @@ int main(int argc, char** argv) {
   serve.dict = &dict;
   serve.policy_config.cloud_available = true;
   serve.policy_config.entropy_threshold = 0.6;
-  if (cloudd != nullptr) {
-    serve.offload_mode = runtime::OffloadMode::kWire;
-    serve.wire_socket_path = socket_path;
-  } else {
-    serve.offload_mode = runtime::OffloadMode::kRawImage;
-    serve.cloud = &cloud;
-  }
+  // One backend per session: over the wire, each session dials its own
+  // connection to the daemon.
+  auto cloud_hop = [&]() -> std::shared_ptr<runtime::OffloadBackend> {
+    if (cloudd == nullptr) return std::make_shared<runtime::RawImageBackend>(&cloud);
+    wire::WireBackendConfig wire_config;
+    wire_config.socket_path = socket_path;
+    return std::make_shared<wire::WireBackend>(wire_config);
+  };
+  serve.backend = cloud_hop();
   serve.batch_size = 32;
   serve.costs = costs;
   serve.route_deadline_s[static_cast<std::size_t>(core::Route::kCloud)] = 0.060;
@@ -196,6 +199,7 @@ int main(int argc, char** argv) {
     // camera's uploads genuinely contend for airtime.
     runtime::EngineConfig neighbor_cfg = serve;
     neighbor_cfg.batch_size = 8;
+    neighbor_cfg.backend = cloud_hop();
     runtime::InferenceSession neighbor(neighbor_cfg);
     std::atomic<bool> neighbor_stop{false};
     std::thread neighbor_traffic([&] {

@@ -15,7 +15,8 @@
 #include "core/builders.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "runtime/offload_backend.h"
+#include "runtime/session.h"
+#include "sim/cloud_node.h"
 #include "sim/system.h"
 
 using namespace meanet;
@@ -80,12 +81,15 @@ int main() {
 
   const auto backend = std::make_shared<runtime::RawImageBackend>(&cloud);
   auto evaluate = [&](const data::Dataset& dataset, double threshold) {
-    core::PolicyConfig policy;
-    policy.cloud_available = true;
-    policy.entropy_threshold = threshold;
-    sim::EdgeNode edge(net, dict, policy, costs);
-    sim::DistributedSystem system(std::move(edge), backend);
-    return system.run(dataset);
+    runtime::EngineConfig cfg;
+    cfg.net = &net;
+    cfg.dict = &dict;
+    cfg.policy_config.cloud_available = true;
+    cfg.policy_config.entropy_threshold = threshold;
+    cfg.backend = backend;
+    cfg.costs = costs;
+    runtime::InferenceSession session(cfg);
+    return sim::summarize(session.run(dataset), dataset, dict);
   };
 
   // 2./3. Sweep and pick: cheapest threshold with >= target accuracy.

@@ -2,8 +2,8 @@
 // with the confidence comparison between the two exits.
 //
 // Instances routed to the cloud are *marked*, not classified — the
-// runtime::InferenceSession (or the sim::DistributedSystem shim) pairs
-// this engine with an OffloadBackend to complete the algorithm.
+// runtime::InferenceSession pairs this engine with an OffloadBackend
+// to complete the algorithm.
 #pragma once
 
 #include <memory>

@@ -9,6 +9,7 @@
 #include "nn/linear.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
+#include "runtime/session.h"
 #include "sim/device_model.h"
 #include "sim/system.h"
 #include "tensor/ops.h"
@@ -99,16 +100,19 @@ TEST(FailureInjection, GemmHandlesZeroSizedProblem) {
   EXPECT_EQ(c, 0.0f);
 }
 
-TEST(FailureInjection, DistributedSystemRejectsEmptyDataset) {
+TEST(FailureInjection, SessionRunAndSummarizeRejectEmptyDataset) {
   util::Rng rng(6);
   core::MEANet net = meanet::testing::tiny_meanet_b(rng, 2);
   const data::ClassDict dict(4, {0, 1});
-  sim::EdgeNode edge(net, dict, core::PolicyConfig{}, sim::EdgeNodeCosts{});
-  sim::DistributedSystem system(std::move(edge), nullptr);
+  runtime::EngineConfig cfg;
+  cfg.net = &net;
+  cfg.dict = &dict;
+  runtime::InferenceSession session(cfg);
   data::Dataset empty;
   empty.num_classes = 4;
   empty.images = Tensor(Shape{0, 2, 8, 8});
-  EXPECT_THROW(system.run(empty), std::invalid_argument);
+  EXPECT_THROW(session.run(empty), std::invalid_argument);
+  EXPECT_THROW(sim::summarize({}, empty, dict), std::invalid_argument);
 }
 
 TEST(FailureInjection, SyntheticSpecValidation) {

@@ -6,6 +6,8 @@
 #include "core/builders.h"
 #include "core/trainer.h"
 #include "metrics/classification_metrics.h"
+#include "runtime/session.h"
+#include "sim/cloud_node.h"
 #include "sim/system.h"
 #include "tiny_models.h"
 
@@ -43,9 +45,17 @@ TEST_P(PipelineTest, Algorithm1ThenAlgorithm2EndToEnd) {
   costs.upload_bytes_per_instance = 2 * 8 * 8;
   costs.main_macs = 1'000'000;
   costs.extension_macs = 400'000;
-  sim::EdgeNode edge(net, dict, core::PolicyConfig{}, costs);
-  sim::DistributedSystem edge_system(std::move(edge), nullptr);
-  const sim::SystemReport edge_report = edge_system.run(ds.test);
+  auto serve = [&](core::PolicyConfig policy, std::shared_ptr<runtime::OffloadBackend> backend) {
+    runtime::EngineConfig cfg;
+    cfg.net = &net;
+    cfg.dict = &dict;
+    cfg.policy_config = policy;
+    cfg.backend = std::move(backend);
+    cfg.costs = costs;
+    runtime::InferenceSession session(cfg);
+    return sim::summarize(session.run(ds.test), ds.test, dict);
+  };
+  const sim::SystemReport edge_report = serve(core::PolicyConfig{}, nullptr);
   EXPECT_GT(edge_report.accuracy, 0.4);
 
   // ---- Full distributed inference ----
@@ -59,9 +69,8 @@ TEST_P(PipelineTest, Algorithm1ThenAlgorithm2EndToEnd) {
   core::PolicyConfig policy;
   policy.cloud_available = true;
   policy.entropy_threshold = 0.4;
-  sim::EdgeNode edge2(net, dict, policy, costs);
-  sim::DistributedSystem system(std::move(edge2), &cloud);
-  const sim::SystemReport report = system.run(ds.test);
+  const sim::SystemReport report =
+      serve(policy, std::make_shared<runtime::RawImageBackend>(&cloud));
 
   // Paper claims: distributed inference >= edge-only accuracy while
   // sending only part of the data. The test set has 40 samples, so one

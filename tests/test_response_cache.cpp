@@ -188,7 +188,9 @@ TEST(ResponseCacheLru, AgreesWithOracleUnderSeededOpStream) {
       const auto got = cache.lookup(key.data(), 4);
       const auto want = oracle.lookup(key);
       ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op << " tag " << tag;
-      if (got) EXPECT_EQ(got->prediction, *want) << "op " << op;
+      if (got) {
+        EXPECT_EQ(got->prediction, *want) << "op " << op;
+      }
     } else {
       cache.insert(key.data(), 4, result_of(tag));
       oracle.insert(key, tag);

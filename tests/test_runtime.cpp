@@ -3,7 +3,6 @@
 // submit/drain determinism.
 #include <gtest/gtest.h>
 
-#include "runtime/replica.h"
 #include "runtime/session.h"
 
 #include "core/builders.h"
@@ -77,17 +76,15 @@ struct Fixture {
 
 TEST(InferenceSession, BackendSwapParityOnOneDataset) {
   Fixture& f = Fixture::instance();
-  auto run_with = [&](OffloadMode mode) {
+  auto run_with = [&](std::shared_ptr<OffloadBackend> backend) {
     EngineConfig cfg = f.config();
-    cfg.offload_mode = mode;
-    cfg.cloud = &f.cloud;
-    cfg.feature_cloud = &f.feature_cloud;
+    cfg.backend = std::move(backend);
     InferenceSession session(cfg);
     return session.run(f.ds.test);
   };
-  const auto raw = run_with(OffloadMode::kRawImage);
-  const auto feature = run_with(OffloadMode::kFeature);
-  const auto none = run_with(OffloadMode::kNone);
+  const auto raw = run_with(std::make_shared<RawImageBackend>(&f.cloud));
+  const auto feature = run_with(std::make_shared<FeatureBackend>(&f.feature_cloud));
+  const auto none = run_with(nullptr);
 
   ASSERT_EQ(static_cast<int>(raw.size()), f.ds.test.size());
   ASSERT_EQ(raw.size(), feature.size());
@@ -121,7 +118,7 @@ TEST(InferenceSession, BackendSwapParityOnOneDataset) {
 
 TEST(InferenceSession, CloudUnavailableFallsBackToEdgeBestGuess) {
   Fixture& f = Fixture::instance();
-  EngineConfig cfg = f.config();  // offload_mode defaults to kNone
+  EngineConfig cfg = f.config();  // backend defaults to NullBackend
   InferenceSession session(cfg);
   const auto results = session.run(f.ds.test);
   int cloud_routed = 0;
@@ -166,15 +163,13 @@ TEST(InferenceSession, ThreadedSubmitDrainMatchesSingleThreaded) {
   Fixture& f = Fixture::instance();
 
   EngineConfig single = f.config();
-  single.offload_mode = OffloadMode::kRawImage;
-  single.cloud = &f.cloud;
+  single.backend = std::make_shared<RawImageBackend>(&f.cloud);
   InferenceSession single_session(single);
   const auto baseline = single_session.run(f.ds.test);
 
   // Four workers sharing the one net (eval forwards are cache-free).
   EngineConfig threaded = f.config();
-  threaded.offload_mode = OffloadMode::kRawImage;
-  threaded.cloud = &f.cloud;
+  threaded.backend = std::make_shared<RawImageBackend>(&f.cloud);
   threaded.worker_threads = 4;
   threaded.batch_size = 8;      // different batching must not matter
   threaded.queue_capacity = 4;  // exercise submit() backpressure
@@ -235,8 +230,7 @@ TEST(InferenceSession, MarginPolicyOffloadsThroughSameApi) {
   margin.margin_threshold = 0.35;
   margin.cloud_available = true;
   cfg.policy = std::make_shared<core::ConfidenceMarginPolicy>(f.dict, margin);
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   InferenceSession session(cfg);
   const auto results = session.run(f.ds.test);
   const core::RouteCounts routes = count_routes(results);
@@ -244,16 +238,19 @@ TEST(InferenceSession, MarginPolicyOffloadsThroughSameApi) {
   EXPECT_GT(routes.cloud, 0);
   for (const InferenceResult& r : results) {
     // The margin rule, not the entropy rule, must have decided.
-    if (r.route == core::Route::kCloud) EXPECT_LT(r.margin, 0.35f);
-    if (r.margin >= 0.35f) EXPECT_NE(r.route, core::Route::kCloud);
+    if (r.route == core::Route::kCloud) {
+      EXPECT_LT(r.margin, 0.35f);
+    }
+    if (r.margin >= 0.35f) {
+      EXPECT_NE(r.route, core::Route::kCloud);
+    }
   }
 }
 
 TEST(InferenceSession, CostsAreChargedPerRoute) {
   Fixture& f = Fixture::instance();
   EngineConfig cfg = f.config();
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   cfg.costs.main_macs = 1000;
   cfg.costs.extension_macs = 500;
   cfg.costs.upload_bytes_per_instance = 2 * 8 * 8;
@@ -279,27 +276,6 @@ TEST(OffloadBackend, PayloadBytesMatchModeGeometry) {
   EXPECT_EQ(raw.payload_bytes(image, feature), image.numel());
   EXPECT_EQ(feat.payload_bytes(image, feature), sim::FeatureCloudNode::feature_bytes(feature));
   EXPECT_EQ(none.payload_bytes(image, feature), 0);
-  EXPECT_EQ(offload_mode_name(OffloadMode::kRawImage), std::string("raw-image"));
-  EXPECT_EQ(offload_mode_name(OffloadMode::kFeature), std::string("feature"));
-  EXPECT_EQ(offload_mode_name(OffloadMode::kNone), std::string("none"));
-}
-
-TEST(SyncWeights, ReplicaAnswersBitIdentically) {
-  Fixture& f = Fixture::instance();
-  util::Rng rng(42);
-  core::MEANet replica = tiny_meanet_b(rng, 2);
-  sync_weights(f.net, replica);
-  const Tensor images = f.ds.test.images.slice_batch(0, 8);
-  core::EdgeInferenceEngine primary(f.net, f.dict, core::PolicyConfig{});
-  core::EdgeInferenceEngine copy(replica, f.dict, core::PolicyConfig{});
-  const auto a = primary.infer(images);
-  const auto b = copy.infer(images);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].prediction, b[i].prediction);
-    EXPECT_FLOAT_EQ(a[i].entropy, b[i].entropy);
-    EXPECT_FLOAT_EQ(a[i].main_confidence, b[i].main_confidence);
-  }
 }
 
 TEST(EngineConfig, InvalidConfigsAreRejected) {
@@ -312,9 +288,6 @@ TEST(EngineConfig, InvalidConfigsAreRejected) {
   EXPECT_THROW(InferenceSession{bad_batch}, std::invalid_argument);
   EXPECT_THROW(RawImageBackend{nullptr}, std::invalid_argument);
   EXPECT_THROW(FeatureBackend{nullptr}, std::invalid_argument);
-  EngineConfig raw_without_cloud = f.config();
-  raw_without_cloud.offload_mode = OffloadMode::kRawImage;  // cloud left null
-  EXPECT_THROW(InferenceSession{raw_without_cloud}, std::invalid_argument);
 }
 
 }  // namespace

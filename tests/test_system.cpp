@@ -2,6 +2,8 @@
 
 #include "core/builders.h"
 #include "core/trainer.h"
+#include "runtime/session.h"
+#include "sim/cloud_node.h"
 #include "sim/system.h"
 #include "tiny_models.h"
 
@@ -39,51 +41,65 @@ struct Fixture {
     return Fixture{std::move(ds), std::move(net), std::move(dict), std::move(cloud_model)};
   }
 
-  EdgeNodeCosts costs() const {
+  static EdgeNodeCosts costs() {
     EdgeNodeCosts c;
     c.upload_bytes_per_instance = 2 * 8 * 8;  // raw image bytes
     c.main_macs = 1000000;
     c.extension_macs = 500000;
     return c;
   }
+
+  /// One Alg. 2 pass over the test set through an InferenceSession,
+  /// folded into a report. A null backend = no cloud.
+  SystemReport serve(core::PolicyConfig policy, std::shared_ptr<runtime::OffloadBackend> backend,
+                     int batch_size = 64, int worker_threads = 1) {
+    runtime::EngineConfig cfg;
+    cfg.net = &net;
+    cfg.dict = &dict;
+    cfg.policy_config = policy;
+    cfg.backend = std::move(backend);
+    cfg.batch_size = batch_size;
+    cfg.worker_threads = worker_threads;
+    cfg.costs = costs();
+    runtime::InferenceSession session(cfg);
+    return summarize(session.run(ds.test), ds.test, dict);
+  }
 };
 
-TEST(DistributedSystem, NoCloudMeansNoCommunication) {
+std::shared_ptr<runtime::OffloadBackend> raw(CloudNode& cloud) {
+  return std::make_shared<runtime::RawImageBackend>(&cloud);
+}
+
+TEST(SystemReport, NoCloudMeansNoCommunication) {
   Fixture f = Fixture::make();
-  EdgeNode edge(f.net, f.dict, core::PolicyConfig{}, f.costs());
-  DistributedSystem system(std::move(edge), nullptr);
-  const SystemReport report = system.run(f.ds.test);
+  const SystemReport report = f.serve(core::PolicyConfig{}, nullptr);
   EXPECT_EQ(report.routes.cloud, 0);
   EXPECT_DOUBLE_EQ(report.communication_energy_j, 0.0);
   EXPECT_GT(report.edge_compute_energy_j, 0.0);
   EXPECT_GT(report.accuracy, 0.4);
 }
 
-TEST(DistributedSystem, ZeroThresholdSendsEverythingToCloud) {
+TEST(SystemReport, ZeroThresholdSendsEverythingToCloud) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
   core::PolicyConfig policy;
   policy.cloud_available = true;
   policy.entropy_threshold = 0.0;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport report = system.run(f.ds.test);
+  const SystemReport report = f.serve(policy, raw(cloud));
   // All test instances have strictly positive entropy in practice.
   EXPECT_GT(report.cloud_fraction, 0.99);
   EXPECT_GT(report.communication_energy_j, 0.0);
   EXPECT_EQ(cloud.instances_served(), f.ds.test.size());
 }
 
-TEST(DistributedSystem, HigherThresholdSendsLess) {
+TEST(SystemReport, HigherThresholdSendsLess) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
   auto run_with_threshold = [&](double threshold) {
     core::PolicyConfig policy;
     policy.cloud_available = true;
     policy.entropy_threshold = threshold;
-    EdgeNode edge(f.net, f.dict, policy, f.costs());
-    DistributedSystem system(std::move(edge), &cloud);
-    return system.run(f.ds.test);
+    return f.serve(policy, raw(cloud));
   };
   const SystemReport low = run_with_threshold(0.2);
   const SystemReport high = run_with_threshold(1.0);
@@ -91,32 +107,26 @@ TEST(DistributedSystem, HigherThresholdSendsLess) {
   EXPECT_GE(low.communication_energy_j, high.communication_energy_j);
 }
 
-TEST(DistributedSystem, CloudImprovesAccuracyOverEdgeOnly) {
+TEST(SystemReport, CloudImprovesAccuracyOverEdgeOnly) {
   Fixture f = Fixture::make();
   // Edge-only baseline.
-  EdgeNode edge_only(f.net, f.dict, core::PolicyConfig{}, f.costs());
-  DistributedSystem baseline(std::move(edge_only), nullptr);
-  const SystemReport edge_report = baseline.run(f.ds.test);
+  const SystemReport edge_report = f.serve(core::PolicyConfig{}, nullptr);
 
   CloudNode cloud(std::move(f.cloud_model));
   core::PolicyConfig policy;
   policy.cloud_available = true;
   policy.entropy_threshold = 0.3;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport cloud_report = system.run(f.ds.test);
+  const SystemReport cloud_report = f.serve(policy, raw(cloud));
   EXPECT_GE(cloud_report.accuracy, edge_report.accuracy);
 }
 
-TEST(DistributedSystem, ReportInternallyConsistent) {
+TEST(SystemReport, ReportInternallyConsistent) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
   core::PolicyConfig policy;
   policy.cloud_available = true;
   policy.entropy_threshold = 0.5;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport report = system.run(f.ds.test, 13);  // odd batch size
+  const SystemReport report = f.serve(policy, raw(cloud), 13);  // odd batch size
   EXPECT_EQ(report.routes.total(), f.ds.test.size());
   EXPECT_EQ(static_cast<int>(report.predictions.size()), f.ds.test.size());
   EXPECT_EQ(static_cast<int>(report.instance_routes.size()), f.ds.test.size());
@@ -133,45 +143,34 @@ TEST(DistributedSystem, ReportInternallyConsistent) {
   EXPECT_NEAR(report.edge_compute_energy_j, expected_compute, 1e-9);
 }
 
-TEST(DistributedSystem, ThreadedRunMatchesSingleThreadedAndReportsServing) {
+TEST(SystemReport, ThreadedRunMatchesSingleThreaded) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
   core::PolicyConfig policy;
   policy.cloud_available = true;
   policy.entropy_threshold = 0.3;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport single = system.run(f.ds.test, 16);
+  const SystemReport single = f.serve(policy, raw(cloud), 16);
 
   // Two workers sharing the one net, small batches: the routed
   // predictions must be identical to the single-worker run.
-  const SystemReport threaded = system.run(f.ds.test, 8, 2);
+  const SystemReport threaded = f.serve(policy, raw(cloud), 8, 2);
   ASSERT_EQ(threaded.predictions.size(), single.predictions.size());
   for (std::size_t i = 0; i < single.predictions.size(); ++i) {
     EXPECT_EQ(threaded.predictions[i], single.predictions[i]) << i;
   }
   EXPECT_DOUBLE_EQ(threaded.accuracy, single.accuracy);
-  // The report now carries the session's serving counters.
-  EXPECT_EQ(threaded.serving.completed_instances, f.ds.test.size());
-  EXPECT_GE(threaded.serving.queue_depth_high_water, 1);
-  EXPECT_EQ(threaded.serving.route_count(core::Route::kCloud), threaded.routes.cloud);
+  EXPECT_EQ(threaded.routes.cloud, single.routes.cloud);
 }
 
-TEST(EdgeNode, PerRouteCosts) {
-  Fixture f = Fixture::make();
-  EdgeNodeCosts costs = f.costs();
-  EdgeNode edge(f.net, f.dict, core::PolicyConfig{}, costs);
-  core::InstanceDecision main_exit;
-  main_exit.route = core::Route::kMainExit;
-  core::InstanceDecision ext_exit;
-  ext_exit.route = core::Route::kExtensionExit;
-  core::InstanceDecision cloud;
-  cloud.route = core::Route::kCloud;
-  EXPECT_GT(edge.compute_energy_j(ext_exit), edge.compute_energy_j(main_exit));
-  EXPECT_DOUBLE_EQ(edge.compute_energy_j(cloud), edge.compute_energy_j(main_exit));
-  EXPECT_DOUBLE_EQ(edge.comm_energy_j(main_exit), 0.0);
-  EXPECT_GT(edge.comm_energy_j(cloud), 0.0);
-  EXPECT_GT(edge.comm_time_s(cloud), 0.0);
+TEST(EdgeNodeCosts, PerRouteCosts) {
+  const EdgeNodeCosts costs = Fixture::costs();
+  EXPECT_GT(costs.compute_energy_j(core::Route::kExtensionExit),
+            costs.compute_energy_j(core::Route::kMainExit));
+  EXPECT_DOUBLE_EQ(costs.compute_energy_j(core::Route::kCloud),
+                   costs.compute_energy_j(core::Route::kMainExit));
+  EXPECT_DOUBLE_EQ(costs.comm_energy_j(core::Route::kMainExit), 0.0);
+  EXPECT_GT(costs.comm_energy_j(core::Route::kCloud), 0.0);
+  EXPECT_GT(costs.comm_time_s(core::Route::kCloud), 0.0);
 }
 
 }  // namespace
