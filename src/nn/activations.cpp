@@ -2,13 +2,13 @@
 
 #include <stdexcept>
 
+#include "tensor/ops.h"
+
 namespace meanet::nn {
 
 Tensor ReLU::forward(const Tensor& input, Mode mode) {
   Tensor output(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    output[i] = input[i] > 0.0f ? input[i] : 0.0f;
-  }
+  ops::bias_activate(input.data(), output.data(), input.numel(), nullptr, ops::Activation::kReLU);
   if (mode == Mode::kTrain) cached_input_ = input;
   return output;
 }
@@ -30,10 +30,8 @@ LayerStats ReLU::stats(const Shape& input) const {
 
 Tensor ReLU6::forward(const Tensor& input, Mode mode) {
   Tensor output(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float v = input[i];
-    output[i] = v <= 0.0f ? 0.0f : (v >= 6.0f ? 6.0f : v);
-  }
+  ops::bias_activate(input.data(), output.data(), input.numel(), nullptr,
+                     ops::Activation::kReLU6);
   if (mode == Mode::kTrain) cached_input_ = input;
   return output;
 }

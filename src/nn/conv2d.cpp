@@ -21,7 +21,8 @@ Tensor he_normal(Shape shape, int fan_in, util::Rng& rng) {
 /// Reference direct convolution (the MEANET_NAIVE_KERNELS path): one
 /// guarded dot product per output pixel, no im2col, no blocking.
 void naive_conv_forward(const Tensor& input, const ops::ConvGeometry& g, int out_channels,
-                        const float* weight, const float* bias, Tensor& output) {
+                        const float* weight, const float* bias, ops::Activation act,
+                        Tensor& output) {
   const int batch = input.shape().batch();
   const int out_h = g.out_height(), out_w = g.out_width();
   for (int n = 0; n < batch; ++n) {
@@ -41,7 +42,7 @@ void naive_conv_forward(const Tensor& input, const ops::ConvGeometry& g, int out
               }
             }
           }
-          output.at(n, oc, oh, ow) = acc;
+          output.at(n, oc, oh, ow) = ops::activate(acc, act);
         }
       }
     }
@@ -152,7 +153,8 @@ Shape Conv2d::output_shape(const Shape& input) const {
   return Shape{input.batch(), out_channels_, g.out_height(), g.out_width()};
 }
 
-Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const float* bias) const {
+Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const float* bias,
+                            ops::Activation act) const {
   const ops::ConvGeometry g = geometry(input.shape());
   const int batch = input.shape().batch();
   const int out_h = g.out_height(), out_w = g.out_width();
@@ -160,7 +162,7 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
   const int patch = g.patch_size();
   Tensor output(Shape{batch, out_channels_, out_h, out_w});
   if (ops::naive_kernels()) {
-    naive_conv_forward(input, g, out_channels_, weight, bias, output);
+    naive_conv_forward(input, g, out_channels_, weight, bias, act, output);
     return output;
   }
   // One schedule for both tiers: the batch runs in chunks of `chunk`
@@ -196,7 +198,7 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
 
   float* columns = nullptr;
   std::uint8_t* tile = nullptr;
-  std::uint8_t* act = nullptr;
+  std::uint8_t* act_codes = nullptr;
   std::int8_t* wq = nullptr;
   float* scales = nullptr;
   std::int32_t* row_sums = nullptr;
@@ -211,7 +213,7 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     // quieter than the batch peak, the usual per-tensor batching
     // tradeoff). Each chunk is quantized to bytes and expanded with the
     // byte-domain im2col; the bias lands in the requantization
-    // epilogue.
+    // epilogue and the activation in the NCHW scatter.
     wq = reinterpret_cast<std::int8_t*>(workspace.byte_buffer(
         ops::Workspace::kQuantWeights, static_cast<std::size_t>(out_channels_) * k_padded));
     scales =
@@ -223,7 +225,7 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     a_scale = ops::activation_scale(input.data(), static_cast<std::size_t>(batch) * in_stride);
     tile = workspace.byte_buffer(ops::Workspace::kQuantTile,
                                  static_cast<std::size_t>(chunk) * in_stride);
-    act = workspace.byte_buffer(ops::Workspace::kQuantAct, per_image_bytes * chunk);
+    act_codes = workspace.byte_buffer(ops::Workspace::kQuantAct, per_image_bytes * chunk);
   } else {
     columns = workspace.buffer(ops::Workspace::kIm2col,
                                static_cast<std::size_t>(patch) * chunk * out_hw);
@@ -235,23 +237,22 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     if (quantized) {
       ops::quantize_activations_u8(images, static_cast<std::size_t>(bc) * in_stride, a_scale,
                                    tile);
-      ops::im2col_u8_batched(tile, in_stride, bc, g, act);
+      ops::im2col_u8_batched(tile, in_stride, bc, g, act_codes);
       ops::qgemm_u8s8_batched_nchw(out_channels_, bc, out_hw, patch, k_padded, wq, scales,
-                                   row_sums, act, a_scale, bias, out, out_stride, out_hw);
-    } else {
-      ops::im2col_batched(images, in_stride, bc, g, columns);
-      ops::gemm_batched_nchw(out_channels_, patch, bc, out_hw, weight, patch, columns, out,
-                             out_stride, out_hw);
+                                   row_sums, act_codes, a_scale, bias, act, out, out_stride,
+                                   out_hw);
+      continue;
     }
-  }
-  if (!quantized && bias != nullptr) {
-    // Float bias is a post-GEMM epilogue: gemm_batched_nchw overwrites
-    // its output (beta = 0), so the bias can't be prefilled into C.
-    for (int n = 0; n < batch; ++n) {
+    ops::im2col_batched(images, in_stride, bc, g, columns);
+    ops::gemm_batched_nchw(out_channels_, patch, bc, out_hw, weight, patch, columns, out,
+                           out_stride, out_hw);
+    // Float bias + activation is a post-GEMM epilogue over the chunk
+    // just written (still cache-warm): gemm_batched_nchw overwrites its
+    // output (beta = 0), so the bias can't be prefilled into C.
+    for (int n = 0; n < bc; ++n) {
       for (int oc = 0; oc < out_channels_; ++oc) {
-        float* dst = output.data() + n * out_stride + static_cast<std::int64_t>(oc) * out_hw;
-        const float b = bias[oc];
-        for (int i = 0; i < out_hw; ++i) dst[i] += b;
+        float* dst = out + n * out_stride + static_cast<std::int64_t>(oc) * out_hw;
+        ops::bias_activate(dst, dst, out_hw, bias != nullptr ? bias + oc : nullptr, act);
       }
     }
   }
@@ -342,7 +343,7 @@ Shape DepthwiseConv2d::output_shape(const Shape& input) const {
 }
 
 Tensor DepthwiseConv2d::forward_with(const Tensor& input, const float* weight,
-                                     const float* bias) const {
+                                     const float* bias, ops::Activation act) const {
   const Shape out_shape = output_shape(input.shape());
   const int batch = input.shape().batch();
   const int in_h = input.shape().height(), in_w = input.shape().width();
@@ -380,10 +381,7 @@ Tensor DepthwiseConv2d::forward_with(const Tensor& input, const float* weight,
         }
       }
     }
-    if (bias != nullptr) {
-      const float b = bias[c];
-      for (std::int64_t i = 0; i < out_hw; ++i) out[i] += b;
-    }
+    ops::bias_activate(out, out, out_hw, bias != nullptr ? bias + c : nullptr, act);
   };
   // Row-striped fan-out on the GemmPool: contiguous fixed-order stripes
   // of the (channels × batch) domain, same min-work gate philosophy as

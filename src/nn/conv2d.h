@@ -1,10 +1,12 @@
 // 2-D convolutions: standard (im2col + GEMM) and depthwise.
 //
 // Both layers expose forward_with(): a const, cache-free forward that
-// takes the weights (and optional bias) as raw pointers. The eval-mode
-// forward() delegates to it with the layer's own parameters; the
-// Sequential / block containers delegate to it with BatchNorm-folded
-// weights, which is how a Conv+BN pair collapses to one kernel in eval.
+// takes the weights (and optional bias) as raw pointers plus an
+// ops::Activation applied in the output epilogue. The eval-mode
+// forward() delegates to it with the layer's own parameters and no
+// activation; the Sequential / block containers delegate to it with
+// BatchNorm-folded weights and the following ReLU/ReLU6, which is how a
+// Conv+BN(+ReLU) run collapses to one kernel in eval.
 // Under ops::naive_kernels() both layers fall back to the reference
 // per-pixel loop nests (the parity oracle and the bench comparison
 // column).
@@ -34,9 +36,12 @@ class Conv2d : public Layer {
   std::int64_t activation_cache_elems() const override { return cached_input_.numel(); }
 
   /// Cache-free forward with externally supplied weights: `weight` has
-  /// the layer's [out_c, in_c*k*k] layout, `bias` is [out_c] or null.
-  /// Thread-safe (scratch comes from the per-thread workspace).
-  Tensor forward_with(const Tensor& input, const float* weight, const float* bias) const;
+  /// the layer's [out_c, in_c*k*k] layout, `bias` is [out_c] or null,
+  /// and `act` is applied to each output as it is written (after the
+  /// bias, with the standalone layers' ops::activate). Thread-safe
+  /// (scratch comes from the per-thread workspace).
+  Tensor forward_with(const Tensor& input, const float* weight, const float* bias,
+                      ops::Activation act = ops::Activation::kNone) const;
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
@@ -80,8 +85,10 @@ class DepthwiseConv2d : public Layer {
 
   /// Cache-free forward with externally supplied weights: `weight` has
   /// the layer's [channels, k*k] layout, `bias` is [channels] or null
-  /// (the layer itself has no bias — a folded BatchNorm supplies one).
-  Tensor forward_with(const Tensor& input, const float* weight, const float* bias) const;
+  /// (the layer itself has no bias — a folded BatchNorm supplies one),
+  /// and `act` is applied per plane together with the bias.
+  Tensor forward_with(const Tensor& input, const float* weight, const float* bias,
+                      ops::Activation act = ops::Activation::kNone) const;
 
   int channels() const { return channels_; }
 

@@ -39,18 +39,19 @@ float* fold_weights(const Tensor& weight, int out_channels, const float* scale) 
 
 }  // namespace
 
-Tensor fused_conv_bn_eval(const Conv2d& conv, const BatchNorm2d& bn, const Tensor& input) {
+Tensor fused_conv_bn_eval(const Conv2d& conv, const BatchNorm2d& bn, const Tensor& input,
+                          ops::Activation act) {
   const FoldedAffine affine =
       fold_affine(bn, conv.has_bias() ? conv.bias().value.data() : nullptr);
   const float* weight = fold_weights(conv.weight().value, conv.out_channels(), affine.scale);
-  return conv.forward_with(input, weight, affine.bias);
+  return conv.forward_with(input, weight, affine.bias, act);
 }
 
-Tensor fused_conv_bn_eval(const DepthwiseConv2d& conv, const BatchNorm2d& bn,
-                          const Tensor& input) {
+Tensor fused_conv_bn_eval(const DepthwiseConv2d& conv, const BatchNorm2d& bn, const Tensor& input,
+                          ops::Activation act) {
   const FoldedAffine affine = fold_affine(bn, nullptr);
   const float* weight = fold_weights(conv.weight().value, conv.channels(), affine.scale);
-  return conv.forward_with(input, weight, affine.bias);
+  return conv.forward_with(input, weight, affine.bias, act);
 }
 
 }  // namespace meanet::nn

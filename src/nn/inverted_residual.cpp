@@ -53,8 +53,9 @@ Shape InvertedResidual::output_shape(const Shape& input) const {
 }
 
 Tensor InvertedResidual::forward(const Tensor& input, Mode mode) {
-  // Eval folds each Conv+BN pair (expand, depthwise, project) into one
-  // kernel via forward_chain; train is the plain caching chain.
+  // Eval folds each Conv+BN pair (expand, depthwise, project) and the
+  // ReLU6 after it into one kernel via forward_chain; train is the
+  // plain caching chain.
   Tensor x = forward_chain(main_layers(), input, mode);
   if (use_skip_) x.add_(input);
   return x;

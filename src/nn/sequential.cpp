@@ -14,8 +14,8 @@ Sequential& Sequential::add(LayerPtr layer) {
 }
 
 Tensor Sequential::forward(const Tensor& input, Mode mode) {
-  // forward_chain folds adjacent Conv+BN pairs into one kernel in eval
-  // mode; in train mode it is a plain layer-by-layer chain.
+  // forward_chain folds adjacent Conv+BN(+ReLU) runs into one kernel in
+  // eval mode; in train mode it is a plain layer-by-layer chain.
   return forward_chain(layers_, input, mode);
 }
 

@@ -20,6 +20,16 @@ void im2col_into(const T* image, const ConvGeometry& g, T* columns, std::ptrdiff
                  T fill) {
   const int out_h = g.out_height();
   const int out_w = g.out_width();
+  if (g.kernel == 1 && g.stride == 1 && g.padding == 0) {
+    // Pointwise conv: each column row is its input channel plane
+    // verbatim — one copy per plane instead of one per output row.
+    const std::size_t plane = static_cast<std::size_t>(g.in_height) * g.in_width;
+    for (int c = 0; c < g.in_channels; ++c) {
+      std::memcpy(columns + static_cast<std::ptrdiff_t>(c) * col_ld,
+                  image + static_cast<std::ptrdiff_t>(c) * plane, sizeof(T) * plane);
+    }
+    return;
+  }
   for (int c = 0; c < g.in_channels; ++c) {
     const T* channel = image + static_cast<std::ptrdiff_t>(c) * g.in_height * g.in_width;
     for (int kh = 0; kh < g.kernel; ++kh) {
@@ -64,7 +74,36 @@ void im2col_into(const T* image, const ConvGeometry& g, T* columns, std::ptrdiff
 /// a zero-padded float matrix would have produced.
 constexpr std::uint8_t kU8ZeroPoint = 128;
 
+template <Activation kAct>
+void bias_activate_as(const float* src, float* dst, std::int64_t n, const float* bias) {
+  if (bias != nullptr) {
+    const float b = *bias;
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = activate(src[i] + b, kAct);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = activate(src[i], kAct);
+  }
+}
+
 }  // namespace
+
+void bias_activate(const float* src, float* dst, std::int64_t n, const float* bias,
+                   Activation act) {
+  switch (act) {
+    case Activation::kNone:
+      if (bias != nullptr) {
+        bias_activate_as<Activation::kNone>(src, dst, n, bias);
+      } else if (src != dst) {
+        std::memcpy(dst, src, sizeof(float) * static_cast<std::size_t>(n));
+      }
+      return;
+    case Activation::kReLU:
+      bias_activate_as<Activation::kReLU>(src, dst, n, bias);
+      return;
+    case Activation::kReLU6:
+      bias_activate_as<Activation::kReLU6>(src, dst, n, bias);
+      return;
+  }
+}
 
 void im2col(const float* image, const ConvGeometry& g, float* columns) {
   im2col_into<float>(image, g, columns, g.out_height() * g.out_width(), 0.0f);

@@ -59,6 +59,35 @@ void set_gemm_threads(int threads);
 std::size_t batched_columns_budget();
 void set_batched_columns_budget(std::size_t bytes);
 
+// ----- Activation epilogue ---------------------------------------------
+
+/// Pointwise activation a conv kernel applies as it writes its output,
+/// so an eval-mode Conv+BN+ReLU(6) triple costs no extra tensor pass.
+enum class Activation { kNone, kReLU, kReLU6 };
+
+/// The one definition of each activation's forward value: nn::ReLU /
+/// nn::ReLU6 and every fused conv epilogue call it, so the fused and
+/// standalone paths agree bit for bit (ReLU maps NaN and -0 to +0;
+/// ReLU6 passes NaN through).
+inline float activate(float v, Activation act) {
+  switch (act) {
+    case Activation::kReLU:
+      return v > 0.0f ? v : 0.0f;
+    case Activation::kReLU6:
+      return v <= 0.0f ? 0.0f : (v >= 6.0f ? 6.0f : v);
+    case Activation::kNone:
+      break;
+  }
+  return v;
+}
+
+/// dst[i] = activate(src[i] + *bias, act) for i < n; the add is skipped
+/// when `bias` is null. `src` may equal `dst` (then a null bias with
+/// kNone touches nothing). The switch on `act` is hoisted out of the
+/// loop.
+void bias_activate(const float* src, float* dst, std::int64_t n, const float* bias,
+                   Activation act);
+
 // ----- GEMM ------------------------------------------------------------
 
 /// C = alpha * op(A) * op(B) + beta * C.

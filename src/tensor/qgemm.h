@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/ops.h"
+
 namespace meanet::ops {
 
 // ----- Serving-path selection (thread-local) ---------------------------
@@ -117,11 +119,12 @@ void qgemm_u8s8(int rows, int n, int k, int k_padded, const std::int8_t* wq, con
 /// the per-image entry point with the same a_scale, at any batch
 /// chunking. (The intermediate C is a contiguous workspace block
 /// scattered per image — the VNNI kernels keep their dense row
-/// writes.)
+/// writes.) `activation` is applied to every element as it lands in C:
+/// in the per-image scatter, or in one pass over C at batch 1.
 void qgemm_u8s8_batched_nchw(int rows, int batch, int cols_per_image, int k, int k_padded,
                              const std::int8_t* wq, const float* scales,
                              const std::int32_t* row_sums, const std::uint8_t* act,
-                             float a_scale, const float* bias, float* c,
+                             float a_scale, const float* bias, Activation activation, float* c,
                              std::int64_t c_image_stride, int ldc);
 
 }  // namespace meanet::ops

@@ -5,7 +5,10 @@
 //  - Conv2d / DepthwiseConv2d forwards match the naive per-pixel loop
 //    nests (MEANET_NAIVE_KERNELS path) within 1e-5 across odd sizes,
 //    stride 2, padding, and batch > 1;
-//  - eval-mode Conv+BN folding matches the unfused pair;
+//  - eval-mode Conv+BN folding matches the unfused pair, and a
+//    ReLU/ReLU6 folded into the kernel epilogue is bit-identical to
+//    running it as its own layer after the pair (float and int8, every
+//    batch, pool width and kernel tier);
 //  - eval-mode forwards are cache-free (activation_cache_elems == 0)
 //    and thread-safe: four workers share ONE net and reproduce the
 //    single-threaded logits bit-identically (run this binary under
@@ -28,11 +31,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "nn/activations.h"
 #include "nn/batchnorm2d.h"
 #include "nn/conv2d.h"
 #include "nn/fuse.h"
@@ -639,30 +645,61 @@ TEST(BatchedParity, DepthwiseThreadingIsBitIdenticalAtOneTwoAndFourThreads) {
   ops::set_gemm_threads(before);
 }
 
+/// Element (r, j) of one image's im2col matrix straight from its
+/// definition: row r = (c, kh, kw), column j = (oh, ow).
+template <typename T>
+T im2col_element(const T* image, const ops::ConvGeometry& g, int r, int j, T fill) {
+  const int c = r / (g.kernel * g.kernel);
+  const int kh = r / g.kernel % g.kernel;
+  const int kw = r % g.kernel;
+  const int ih = j / g.out_width() * g.stride - g.padding + kh;
+  const int iw = j % g.out_width() * g.stride - g.padding + kw;
+  if (ih < 0 || ih >= g.in_height || iw < 0 || iw >= g.in_width) return fill;
+  return image[(static_cast<std::int64_t>(c) * g.in_height + ih) * g.in_width + iw];
+}
+
 TEST(BatchedParity, Im2colBatchedMatchesPerImageBlocks) {
   util::Rng rng(107);
-  ops::ConvGeometry g;
-  g.in_channels = 3;
-  g.in_height = 9;
-  g.in_width = 7;
-  g.kernel = 3;
-  g.stride = 2;
-  g.padding = 1;
-  const int batch = 3;
-  const int out_hw = g.out_height() * g.out_width();
-  const int patch = g.patch_size();
-  const std::int64_t image_stride = 3 * 9 * 7;
-  const Tensor images = Tensor::normal(Shape{batch, 3, 9, 7}, rng);
-  std::vector<float> batched(static_cast<std::size_t>(patch) * batch * out_hw);
-  ops::im2col_batched(images.data(), image_stride, batch, g, batched.data());
-  std::vector<float> single(static_cast<std::size_t>(patch) * out_hw);
-  for (int n = 0; n < batch; ++n) {
-    ops::im2col(images.data() + n * image_stride, g, single.data());
-    for (int r = 0; r < patch; ++r) {
-      for (int j = 0; j < out_hw; ++j) {
-        ASSERT_EQ(single[static_cast<std::size_t>(r) * out_hw + j],
-                  batched[static_cast<std::size_t>(r) * batch * out_hw + n * out_hw + j])
-            << "n=" << n << " r=" << r << " j=" << j;
+  // A padded strided 3x3, and the pointwise 1x1/s1/p0 geometry that
+  // takes the one-copy-per-plane path.
+  for (const auto& [kernel, stride, padding] :
+       {std::tuple{3, 2, 1}, std::tuple{1, 1, 0}}) {
+    ops::ConvGeometry g;
+    g.in_channels = 3;
+    g.in_height = 9;
+    g.in_width = 7;
+    g.kernel = kernel;
+    g.stride = stride;
+    g.padding = padding;
+    const int batch = 3;
+    const int out_hw = g.out_height() * g.out_width();
+    const int patch = g.patch_size();
+    const std::int64_t image_stride = 3 * 9 * 7;
+    const Tensor images = Tensor::normal(Shape{batch, 3, 9, 7}, rng);
+    std::vector<std::uint8_t> codes(static_cast<std::size_t>(batch) * image_stride);
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      codes[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    std::vector<float> batched(static_cast<std::size_t>(patch) * batch * out_hw);
+    ops::im2col_batched(images.data(), image_stride, batch, g, batched.data());
+    std::vector<std::uint8_t> batched_u8(batched.size());
+    ops::im2col_u8_batched(codes.data(), image_stride, batch, g, batched_u8.data());
+    std::vector<float> single(static_cast<std::size_t>(patch) * out_hw);
+    for (int n = 0; n < batch; ++n) {
+      const float* image = images.data() + n * image_stride;
+      const std::uint8_t* image_codes = codes.data() + n * image_stride;
+      ops::im2col(image, g, single.data());
+      for (int r = 0; r < patch; ++r) {
+        for (int j = 0; j < out_hw; ++j) {
+          const std::size_t at = static_cast<std::size_t>(r) * batch * out_hw + n * out_hw + j;
+          ASSERT_EQ(single[static_cast<std::size_t>(r) * out_hw + j], batched[at])
+              << "k=" << kernel << " n=" << n << " r=" << r << " j=" << j;
+          ASSERT_EQ(im2col_element(image, g, r, j, 0.0f), batched[at])
+              << "k=" << kernel << " n=" << n << " r=" << r << " j=" << j;
+          // Byte-domain padding is the activation zero point.
+          ASSERT_EQ(im2col_element(image_codes, g, r, j, std::uint8_t{128}), batched_u8[at])
+              << "k=" << kernel << " n=" << n << " r=" << r << " j=" << j;
+        }
       }
     }
   }
@@ -726,6 +763,136 @@ TEST(BatchNormFolding, FoldedDepthwiseMatchesUnfusedPair) {
   const Tensor folded = fused.forward(x, nn::Mode::kEval);
   const Tensor unfused = bn.forward(dw.forward(x, nn::Mode::kEval), nn::Mode::kEval);
   EXPECT_TRUE(allclose(folded, unfused, 1e-5f));
+}
+
+// ----- Activation epilogue (ops::Activation) ---------------------------
+
+/// A conv layer followed by BN then `act`, with trained running stats.
+nn::Sequential conv_bn_act(std::unique_ptr<nn::Layer> conv, int channels, ops::Activation act,
+                           const Shape& train_shape, util::Rng& rng) {
+  nn::Sequential seq("triple");
+  seq.add(std::move(conv));
+  seq.emplace<nn::BatchNorm2d>(channels);
+  if (act == ops::Activation::kReLU) {
+    seq.emplace<nn::ReLU>();
+  } else {
+    seq.emplace<nn::ReLU6>();
+  }
+  for (int i = 0; i < 3; ++i) seq.forward(Tensor::normal(train_shape, rng), nn::Mode::kTrain);
+  return seq;
+}
+
+/// The unfused reference: the folded Conv+BN pair, then the activation
+/// as its own layer.
+Tensor unfused_eval(nn::Sequential& seq, const Tensor& x) {
+  const auto& bn = dynamic_cast<const nn::BatchNorm2d&>(seq.layer(1));
+  Tensor y;
+  if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&seq.layer(0))) {
+    y = nn::fused_conv_bn_eval(*conv, bn, x);
+  } else {
+    y = nn::fused_conv_bn_eval(dynamic_cast<const nn::DepthwiseConv2d&>(seq.layer(0)), bn, x);
+  }
+  return seq.layer(2).forward(y, nn::Mode::kEval);
+}
+
+/// The fused triple must equal the unfused chain exactly — float and
+/// int8, batch 1/8/32, pool width 1 and 4, naive and optimized kernels.
+/// Eval inputs are 4x wider than the training data so BN outputs cross
+/// both the 0 and the 6 clamp.
+template <typename MakeConv>
+void expect_fused_epilogue_exact(MakeConv make_conv, int in_channels, int out_channels, int size,
+                                 std::uint64_t seed) {
+  const bool naive_before = ops::naive_kernels();
+  const int threads_before = ops::gemm_threads();
+  for (const ops::Activation act : {ops::Activation::kReLU, ops::Activation::kReLU6}) {
+    util::Rng rng(seed);
+    nn::Sequential seq = conv_bn_act(make_conv(rng), out_channels, act,
+                                     Shape{4, in_channels, size, size}, rng);
+    for (const int batch : {1, 8, 32}) {
+      const Tensor x = Tensor::normal(Shape{batch, in_channels, size, size}, rng, 0.0f, 4.0f);
+      for (const bool quantized : {false, true}) {
+        ops::QuantizedScope scope(quantized);
+        for (const int threads : {1, 4}) {
+          ops::set_gemm_threads(threads);
+          for (const bool naive : {false, true}) {
+            ops::set_naive_kernels(naive);
+            const Tensor fused = seq.forward(x, nn::Mode::kEval);
+            const Tensor unfused = unfused_eval(seq, x);
+            EXPECT_TRUE(allclose(fused, unfused, 0.0f))
+                << "act=" << static_cast<int>(act) << " batch=" << batch
+                << " int8=" << quantized << " threads=" << threads << " naive=" << naive;
+            std::int64_t at_zero = 0, at_six = 0;
+            for (std::int64_t i = 0; i < fused.numel(); ++i) {
+              at_zero += fused[i] == 0.0f;
+              at_six += fused[i] == 6.0f;
+            }
+            EXPECT_GT(at_zero, 0);
+            if (act == ops::Activation::kReLU6) {
+              EXPECT_GT(at_six, 0);
+            }
+          }
+        }
+      }
+    }
+  }
+  ops::set_naive_kernels(naive_before);
+  ops::set_gemm_threads(threads_before);
+}
+
+TEST(FusedEpilogue, PointwiseConvMatchesUnfusedChain) {
+  expect_fused_epilogue_exact(
+      [](util::Rng& rng) { return std::make_unique<nn::Conv2d>(8, 16, 1, 1, 0, false, rng); }, 8,
+      16, 12, 211);
+}
+
+TEST(FusedEpilogue, Conv3x3MatchesUnfusedChain) {
+  expect_fused_epilogue_exact(
+      [](util::Rng& rng) { return std::make_unique<nn::Conv2d>(8, 16, 3, 1, 1, true, rng); }, 8,
+      16, 12, 223);
+}
+
+TEST(FusedEpilogue, DepthwiseStrideOneMatchesUnfusedChain) {
+  // 32 images x 16 planes of 16x16 clear the depthwise min-work gate,
+  // so at pool width 4 the epilogue runs inside GemmPool stripes.
+  expect_fused_epilogue_exact(
+      [](util::Rng& rng) { return std::make_unique<nn::DepthwiseConv2d>(16, 3, 1, 1, rng); },
+      16, 16, 16, 227);
+}
+
+TEST(FusedEpilogue, DepthwiseStrideTwoMatchesUnfusedChain) {
+  expect_fused_epilogue_exact(
+      [](util::Rng& rng) { return std::make_unique<nn::DepthwiseConv2d>(16, 3, 2, 1, rng); },
+      16, 16, 15, 229);
+}
+
+TEST(FusedEpilogue, TrainModeRunsTheActivationLayer) {
+  util::Rng rng(233);
+  nn::Sequential seq = conv_bn_act(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, false, rng), 4,
+                                   ops::Activation::kReLU6, Shape{2, 3, 6, 6}, rng);
+  (void)seq.forward(Tensor::normal(Shape{2, 3, 6, 6}, rng), nn::Mode::kTrain);
+  // Train is the plain chain: the activation layer cached its input.
+  EXPECT_GT(seq.layer(2).activation_cache_elems(), 0);
+}
+
+TEST(FusedEpilogue, ActivationsKeepTheirEdgeValues) {
+  // The shared ops::activate pins the standalone layers' semantics:
+  // ReLU maps -0 and NaN to +0; ReLU6 maps -0 to +0 and passes NaN.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x(Shape{1, 1, 1, 6}, {-0.0f, nan, -3.0f, 2.5f, 6.0f, 7.0f});
+  const Tensor r = nn::ReLU().forward(x, nn::Mode::kEval);
+  const Tensor r6 = nn::ReLU6().forward(x, nn::Mode::kEval);
+  EXPECT_FALSE(std::signbit(r[0]));
+  EXPECT_EQ(r[0], 0.0f);
+  EXPECT_EQ(r[1], 0.0f);
+  EXPECT_EQ(r[2], 0.0f);
+  EXPECT_EQ(r[3], 2.5f);
+  EXPECT_EQ(r[5], 7.0f);
+  EXPECT_FALSE(std::signbit(r6[0]));
+  EXPECT_TRUE(std::isnan(r6[1]));
+  EXPECT_EQ(r6[2], 0.0f);
+  EXPECT_EQ(r6[3], 2.5f);
+  EXPECT_EQ(r6[4], 6.0f);
+  EXPECT_EQ(r6[5], 6.0f);
 }
 
 TEST(CacheFreeEval, EvalForwardAllocatesNoActivationCaches) {
