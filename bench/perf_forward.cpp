@@ -14,31 +14,28 @@
 // The model-forward rows additionally time the portable 4x16
 // microkernel (SIMD dispatch forced off) and the int8 quantized path
 // (ops::QuantizedScope), so the JSON tracks all three serving tiers.
+// Every compared path is timed rep by rep, interleaved, through one
+// helper (interleaved_median_ms).
 //
-// The batch sweep times each model at batch 1 / 8 / 32 under the
-// default conv column budget (whole-batch chunks) against a 1-byte
-// budget (ops::set_batched_columns_budget(1): one image per chunk, the
-// per-image schedule), in float and int8, reporting imgs/s and the
-// batched speedup;
-// a depthwise row compares the GemmPool fan-out against single-thread
-// at batch 32. The JSON header carries GemmPool::stats() so a run
-// proves the pool actually engaged.
+// The batch sweep reports float and int8 imgs/s for each model at
+// batch 1 / 8 / 32 at auto pool width; a depthwise row compares the
+// GemmPool fan-out against single-thread at batch 32. The JSON header
+// carries GemmPool::stats() so a run proves the pool actually engaged.
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the GEMM
 // path is *slower* than the naive path, the dispatched SIMD kernel is
 // slower than the portable one, or (with a vectorized int8 tier) the
-// int8 path is slower than float; when the whole-batch chunks lose to
-// one-image chunks at batch >= 8; or when (with >= 2 hardware
-// threads) the threaded depthwise loses to single-thread at batch 32
-// — the CI perf smoke gates.
+// int8 path is slower than float; or when (with >= 2 hardware threads)
+// the threaded depthwise loses to single-thread at batch 32 — the CI
+// perf smoke gates.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -61,44 +58,41 @@ double now_s() {
       .count();
 }
 
-/// Median wall-clock milliseconds of `fn` over `reps` runs (one warmup).
-template <typename Fn>
-double median_ms(int reps, Fn fn) {
-  fn();  // warm caches, scratch buffers, branch predictors
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const double start = now_s();
-    fn();
-    samples.push_back((now_s() - start) * 1e3);
+/// Interleaved medians of several alternatives: each rep times every
+/// alternative once, rotating which one runs first, so a thermal
+/// throttle or noisy-neighbor window lands on all of them instead of
+/// skewing whichever happened to own that slice of wall clock. The exit
+/// gates judge ratios between alternatives, which interleaving
+/// stabilizes far better than extra serialized reps would. Returns one
+/// median (ms) per alternative, in order; one warmup pass runs first.
+std::vector<double> interleaved_median_ms(int reps,
+                                          const std::vector<std::function<void()>>& fns) {
+  for (const auto& fn : fns) fn();  // warm caches, scratch buffers, branch predictors
+  std::vector<std::vector<double>> samples(fns.size());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      const std::size_t which = (static_cast<std::size_t>(r) + i) % fns.size();
+      const double start = now_s();
+      fns[which]();
+      samples[which].push_back((now_s() - start) * 1e3);
+    }
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
 }
 
-/// Interleaved medians of two alternatives: each rep times `a` then `b`
-/// back to back, so a thermal throttle or noisy-neighbor window lands on
-/// both paths instead of skewing whichever happened to own that slice of
-/// wall clock. The exit gates judge the a/b *ratio*, which interleaving
-/// stabilizes far better than extra serialized reps would.
-template <typename FnA, typename FnB>
-std::pair<double, double> paired_median_ms(int reps, FnA a, FnB b) {
-  a();  // warm caches, scratch buffers, branch predictors
-  b();
-  std::vector<double> sa, sb;
-  sa.reserve(static_cast<std::size_t>(reps));
-  sb.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_s();
-    a();
-    const double t1 = now_s();
-    b();
-    sa.push_back((t1 - t0) * 1e3);
-    sb.push_back((now_s() - t1) * 1e3);
-  }
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return {sa[sa.size() / 2], sb[sb.size() / 2]};
+/// `fn` under the naive reference kernels.
+template <typename Fn>
+std::function<void()> naive(Fn fn) {
+  return [fn] {
+    ops::set_naive_kernels(true);
+    fn();
+    ops::set_naive_kernels(false);
+  };
 }
 
 struct Row {
@@ -112,34 +106,43 @@ struct Row {
   double int8_speedup() const { return int8_ms > 0.0 ? gemm_ms / int8_ms : 0.0; }
 };
 
-/// Runs `fn` under both kernel selections.
+/// GEMM vs naive, interleaved.
 template <typename Fn>
 Row measure(const std::string& name, int reps, Fn fn) {
   Row row;
   row.name = name;
-  ops::set_naive_kernels(false);
-  row.gemm_ms = median_ms(reps, fn);
-  ops::set_naive_kernels(true);
-  row.naive_ms = median_ms(reps, fn);
-  ops::set_naive_kernels(false);
+  const std::vector<double> ms = interleaved_median_ms(reps, {fn, naive(fn)});
+  row.gemm_ms = ms[0];
+  row.naive_ms = ms[1];
   std::printf("  %-38s gemm %9.3f ms   naive %9.3f ms   speedup %5.2fx\n", name.c_str(),
               row.gemm_ms, row.naive_ms, row.speedup());
   return row;
 }
 
-/// measure() plus the portable-microkernel and int8 tiers — for the
-/// model-forward rows where those paths actually engage.
+/// measure() plus the portable-microkernel and int8 tiers, all four
+/// interleaved — for the model-forward rows where those paths engage.
 template <typename Fn>
 Row measure_tiers(const std::string& name, int reps, Fn fn) {
-  Row row = measure(name, reps, fn);
+  Row row;
+  row.name = name;
   const ops::SimdLevel level = ops::simd_level();
-  ops::set_simd_level(ops::SimdLevel::kPortable);
-  row.portable_ms = median_ms(reps, fn);
-  ops::set_simd_level(level);
-  {
-    ops::QuantizedScope quantized(true);
-    row.int8_ms = median_ms(reps, fn);
-  }
+  const std::vector<double> ms = interleaved_median_ms(
+      reps, {fn, naive(fn),
+             [&] {
+               ops::set_simd_level(ops::SimdLevel::kPortable);
+               fn();
+               ops::set_simd_level(level);
+             },
+             [&] {
+               ops::QuantizedScope quantized(true);
+               fn();
+             }});
+  row.gemm_ms = ms[0];
+  row.naive_ms = ms[1];
+  row.portable_ms = ms[2];
+  row.int8_ms = ms[3];
+  std::printf("  %-38s gemm %9.3f ms   naive %9.3f ms   speedup %5.2fx\n", name.c_str(),
+              row.gemm_ms, row.naive_ms, row.speedup());
   std::printf("  %-38s portable %5.3f ms  int8 %9.3f ms (%s)    int8 %5.2fx\n", "",
               row.portable_ms, row.int8_ms, ops::int8_kernel_name(ops::int8_kernel()),
               row.int8_speedup());
@@ -152,21 +155,13 @@ struct ModelUnderTest {
   bench::DatasetKind kind;
 };
 
-/// One point of the batch sweep: default conv column budget vs one
-/// image per chunk at a fixed batch size, float and int8.
+/// One point of the batch sweep: float and int8 at a fixed batch size.
 struct BatchRow {
   std::string model;
   int batch = 0;
-  double batched_ms = 0.0;         // default column budget
-  double per_image_ms = 0.0;       // 1-byte budget: one image per chunk
-  double int8_ms = 0.0;            // int8 tier, default budget
-  double int8_per_image_ms = 0.0;  // int8 tier, one image per chunk
-  double imgs_per_s() const {
-    return batched_ms > 0.0 ? batch * 1e3 / batched_ms : 0.0;
-  }
-  double batched_speedup() const {
-    return batched_ms > 0.0 ? per_image_ms / batched_ms : 0.0;
-  }
+  double float_ms = 0.0;
+  double int8_ms = 0.0;
+  double imgs_per_s(double ms) const { return ms > 0.0 ? batch * 1e3 / ms : 0.0; }
 };
 
 }  // namespace
@@ -215,45 +210,28 @@ int main(int argc, char** argv) {
     rows.push_back(measure_tiers(m.name + "_batch32", std::max(3, reps / 3),
                                  [&] { (void)net.forward_main(batch, nn::Mode::kEval); }));
 
-    // Batch sweep: whole-batch chunks vs one image per chunk, both at
-    // auto pool width (the single-stream serving config the batched
-    // path is built for — one wide GEMM fans out where the per-image
-    // GEMMs of the deep layers sit below the dispatch threshold; on a
-    // single-core runner auto resolves to 1 and the comparison is
-    // purely the single-thread cost model).
+    // Batch sweep at auto pool width (the single-stream serving
+    // config; on a single-core runner auto resolves to 1).
     const int threads_before = ops::gemm_threads();
     ops::set_gemm_threads(0);  // 0 = auto
     for (const int bs : {1, 8, 32}) {
       const Tensor input = Tensor::normal(
           Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
-      // The budget flips inside each lambda (one relaxed atomic store)
-      // so the two schedules can be interleaved rep by rep — see
-      // paired_median_ms on why that matters for the gated ratio.
-      auto batched_fwd = [&] {
-        ops::set_batched_columns_budget(0);  // 0 = the default budget
-        (void)net.forward_main(input, nn::Mode::kEval);
-      };
-      auto per_image_fwd = [&] {
-        ops::set_batched_columns_budget(1);  // one image per chunk
-        (void)net.forward_main(input, nn::Mode::kEval);
-      };
-      const int batch_reps = std::max(5, reps / std::max(1, bs / 4));
+      auto fwd = [&] { (void)net.forward_main(input, nn::Mode::kEval); };
       BatchRow row;
       row.model = m.name;
       row.batch = bs;
-      std::tie(row.batched_ms, row.per_image_ms) =
-          paired_median_ms(batch_reps, batched_fwd, per_image_fwd);
-      {
-        ops::QuantizedScope quantized(true);
-        std::tie(row.int8_ms, row.int8_per_image_ms) =
-            paired_median_ms(batch_reps, batched_fwd, per_image_fwd);
-      }
-      ops::set_batched_columns_budget(0);
-      std::printf(
-          "  %-28s batch %2d   batched %8.3f ms (%7.1f img/s)   per-image %8.3f ms   "
-          "%5.2fx   int8 %8.3f/%8.3f ms\n",
-          m.name.c_str(), bs, row.batched_ms, row.imgs_per_s(), row.per_image_ms,
-          row.batched_speedup(), row.int8_ms, row.int8_per_image_ms);
+      const std::vector<double> ms =
+          interleaved_median_ms(std::max(5, reps / std::max(1, bs / 4)),
+                                {fwd, [&] {
+                                   ops::QuantizedScope quantized(true);
+                                   fwd();
+                                 }});
+      row.float_ms = ms[0];
+      row.int8_ms = ms[1];
+      std::printf("  %-28s batch %2d   float %8.3f ms (%7.1f img/s)   int8 %8.3f ms (%7.1f img/s)\n",
+                  m.name.c_str(), bs, row.float_ms, row.imgs_per_s(row.float_ms), row.int8_ms,
+                  row.imgs_per_s(row.int8_ms));
       sweep.push_back(row);
     }
     ops::set_gemm_threads(threads_before);
@@ -272,16 +250,17 @@ int main(int argc, char** argv) {
     const int before = ops::gemm_threads();
     ops::set_gemm_threads(0);  // 0 = auto (hardware concurrency, clamped)
     dw_threads = ops::gemm_threads();
-    std::tie(dw_single_ms, dw_threaded_ms) = paired_median_ms(
-        dw_reps,
-        [&] {
-          ops::set_gemm_threads(1);
-          (void)dw.forward(x, nn::Mode::kEval);
-        },
-        [&] {
-          ops::set_gemm_threads(0);
-          (void)dw.forward(x, nn::Mode::kEval);
-        });
+    const std::vector<double> ms = interleaved_median_ms(
+        dw_reps, {[&] {
+                    ops::set_gemm_threads(1);
+                    (void)dw.forward(x, nn::Mode::kEval);
+                  },
+                  [&] {
+                    ops::set_gemm_threads(0);
+                    (void)dw.forward(x, nn::Mode::kEval);
+                  }});
+    dw_single_ms = ms[0];
+    dw_threaded_ms = ms[1];
     ops::set_gemm_threads(before);
     std::printf("  %-28s batch 32   1 thread %7.3f ms   %d threads %7.3f ms   %5.2fx\n",
                 "depthwise_64x56x56", dw_single_ms, dw_threads, dw_threaded_ms,
@@ -369,12 +348,10 @@ int main(int argc, char** argv) {
     diag::Value v = diag::Value::object();
     v.set("model", row.model);
     v.set("batch", row.batch);
-    v.set("batched_ms", row.batched_ms);
-    v.set("per_image_ms", row.per_image_ms);
-    v.set("imgs_per_s", row.imgs_per_s());
-    v.set("batched_speedup", row.batched_speedup());
+    v.set("float_ms", row.float_ms);
+    v.set("imgs_per_s", row.imgs_per_s(row.float_ms));
     v.set("int8_ms", row.int8_ms);
-    v.set("int8_per_image_ms", row.int8_per_image_ms);
+    v.set("int8_imgs_per_s", row.imgs_per_s(row.int8_ms));
     batch_sweep.push(std::move(v));
   }
   doc.set("batch_sweep", std::move(batch_sweep));
@@ -422,24 +399,9 @@ int main(int argc, char** argv) {
       regressed = true;
     }
   }
-  // Whole-batch chunks must pay for themselves once there is a real
-  // batch.
-  // The 0.90 floor is a noise allowance for shared CI runners: the two
-  // paths run identical arithmetic, so a real regression (a packing or
-  // dispatch bug) shows up far below it while run-to-run timer jitter
-  // on these sub-10ms forwards stays above it.
-  for (const BatchRow& row : sweep) {
-    if (row.batch >= 8 && row.batched_speedup() < 0.90) {
-      std::fprintf(stderr,
-                   "PERF REGRESSION: %s batch %d whole-batch path (%.3f ms) slower than "
-                   "per-image (%.3f ms)\n",
-                   row.model.c_str(), row.batch, row.batched_ms, row.per_image_ms);
-      regressed = true;
-    }
-  }
   // Depthwise fan-out must not lose to single-thread — only judged on
-  // hardware that can actually run two threads, with the same noise
-  // allowance as the batched gate.
+  // hardware that can actually run two threads. The 1.10 factor is a
+  // noise allowance for shared CI runners.
   if (std::thread::hardware_concurrency() >= 2 && dw_threads >= 2 &&
       dw_threaded_ms > 1.10 * dw_single_ms) {
     std::fprintf(stderr,

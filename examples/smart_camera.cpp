@@ -143,10 +143,9 @@ int main(int argc, char** argv) {
   // fair-share throughput halves while both are attached). The cell
   // itself is a ~1.9 Mb/s slice of the paper's 18.88 Mb/s uplink with
   // seeded jitter; answers ride its downlink, so they are cheap but no
-  // longer free. The slice is sized for the heavier of the two cloud
-  // hops: --wire ships each frame as a float32 tensor (~3 KB against
-  // the in-process backend's 768 bytes of 8-bit pixels), which at half
-  // of ~1.9 Mb/s uploads in ~27 ms, inside the 60ms deadline.
+  // longer free. Both cloud hops price a frame at its 768 bytes of
+  // 8-bit pixels, which at half of ~1.9 Mb/s uploads in ~7 ms, inside
+  // the 60ms deadline.
   auto cell = std::make_shared<sim::SharedCell>([] {
     sim::SharedCellConfig cc;
     cc.uplink = cc.uplink.congested(10.0);  // ~1.9 Mb/s uplink

@@ -165,96 +165,63 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     naive_conv_forward(input, g, out_channels_, weight, bias, act, output);
     return output;
   }
-  // One schedule for both tiers: the batch runs in chunks of `chunk`
-  // images, each chunk one im2col over its images into a
-  // [patch, bc*out_hw] column matrix and ONE GEMM writing straight into
-  // NCHW output. The weight panel is packed once per NC block of the
-  // chunk instead of once per image, and on a multi-thread pool the
-  // wide GEMM fans out where per-image GEMMs sat under the dispatch
-  // threshold. chunk == 1 is the per-image schedule. Each image's
-  // accumulation order is exactly the per-image GEMM's (k-blocking
-  // doesn't depend on the j extent), so the float output is
-  // bit-identical to forwarding each image alone at every chunk size
-  // and GemmPool width. All scratch is per-thread workspace, so this
-  // stays const-safe and cache-free.
-  const bool quantized = ops::quantized_inference();
+  // One image per GEMM: each image is one im2col into a [patch, out_hw]
+  // column matrix and one GEMM writing straight into its NCHW block.
+  // Scratch is one image's columns from the per-thread workspace, so
+  // this stays const-safe and cache-free at a footprint that does not
+  // grow with the batch.
   ops::Workspace& workspace = ops::Workspace::tls();
   const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
   const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
-  const std::size_t per_image_bytes =
-      static_cast<std::size_t>(patch) * out_hw * (quantized ? 1 : sizeof(float));
-  std::size_t budget = ops::batched_columns_budget();
-  if (!quantized && ops::gemm_threads() <= 1) {
-    // Single-thread float chunks stay L2-sized: the tile is written
-    // (im2col) and immediately re-read (pack_b), so a chunk larger than
-    // the cache turns that round trip into DRAM traffic with no fan-out
-    // win to pay for it. Multi-thread keeps the configured budget —
-    // wide tiles are what feed the stripes.
-    budget = std::min(budget, std::size_t{512} << 10);
-  }
-  const int chunk = static_cast<int>(std::clamp<std::size_t>(
-      budget / std::max<std::size_t>(1, per_image_bytes), 1,
-      static_cast<std::size_t>(std::max(1, batch))));
-
-  float* columns = nullptr;
-  std::uint8_t* tile = nullptr;
-  std::uint8_t* act_codes = nullptr;
-  std::int8_t* wq = nullptr;
-  float* scales = nullptr;
-  std::int32_t* row_sums = nullptr;
-  float a_scale = 0.0f;
-  const int k_padded = ops::quantized_k_padded(patch);
-  if (quantized) {
-    // int8 serving path: quantize the (possibly BN-folded) weights per
-    // row once per call, and the activations with ONE per-tensor scale
-    // over the whole batch (max|x|/127, chunk-invariant — it is
-    // computed before chunking, so chunking never changes results; it
-    // makes the codes slightly coarser than per-image scales for images
-    // quieter than the batch peak, the usual per-tensor batching
-    // tradeoff). Each chunk is quantized to bytes and expanded with the
-    // byte-domain im2col; the bias lands in the requantization
-    // epilogue and the activation in the NCHW scatter.
-    wq = reinterpret_cast<std::int8_t*>(workspace.byte_buffer(
-        ops::Workspace::kQuantWeights, static_cast<std::size_t>(out_channels_) * k_padded));
-    scales =
-        workspace.buffer(ops::Workspace::kQuantScales, static_cast<std::size_t>(out_channels_));
-    row_sums = reinterpret_cast<std::int32_t*>(workspace.byte_buffer(
-        ops::Workspace::kQuantRowSums,
-        static_cast<std::size_t>(out_channels_) * sizeof(std::int32_t)));
-    ops::quantize_weight_rows(weight, out_channels_, patch, wq, scales, row_sums);
-    a_scale = ops::activation_scale(input.data(), static_cast<std::size_t>(batch) * in_stride);
-    tile = workspace.byte_buffer(ops::Workspace::kQuantTile,
-                                 static_cast<std::size_t>(chunk) * in_stride);
-    act_codes = workspace.byte_buffer(ops::Workspace::kQuantAct, per_image_bytes * chunk);
-  } else {
-    columns = workspace.buffer(ops::Workspace::kIm2col,
-                               static_cast<std::size_t>(patch) * chunk * out_hw);
-  }
-  for (int n0 = 0; n0 < batch; n0 += chunk) {
-    const int bc = std::min(chunk, batch - n0);
-    const float* images = input.data() + n0 * in_stride;
-    float* out = output.data() + n0 * out_stride;
-    if (quantized) {
-      ops::quantize_activations_u8(images, static_cast<std::size_t>(bc) * in_stride, a_scale,
-                                   tile);
-      ops::im2col_u8_batched(tile, in_stride, bc, g, act_codes);
-      ops::qgemm_u8s8_batched_nchw(out_channels_, bc, out_hw, patch, k_padded, wq, scales,
-                                   row_sums, act_codes, a_scale, bias, act, out, out_stride,
-                                   out_hw);
-      continue;
-    }
-    ops::im2col_batched(images, in_stride, bc, g, columns);
-    ops::gemm_batched_nchw(out_channels_, patch, bc, out_hw, weight, patch, columns, out,
-                           out_stride, out_hw);
-    // Float bias + activation is a post-GEMM epilogue over the chunk
-    // just written (still cache-warm): gemm_batched_nchw overwrites its
-    // output (beta = 0), so the bias can't be prefilled into C.
-    for (int n = 0; n < bc; ++n) {
+  if (!ops::quantized_inference()) {
+    float* columns =
+        workspace.buffer(ops::Workspace::kIm2col, static_cast<std::size_t>(patch) * out_hw);
+    for (int n = 0; n < batch; ++n) {
+      float* out = output.data() + n * out_stride;
+      ops::im2col(input.data() + n * in_stride, g, columns);
+      ops::gemm(false, false, out_channels_, out_hw, patch, 1.0f, weight, patch, columns, out_hw,
+                0.0f, out, out_hw);
+      // Bias + activation is a post-GEMM epilogue over the image just
+      // written (still cache-warm): gemm with beta = 0 overwrites its
+      // output, so the bias can't be prefilled into C.
       for (int oc = 0; oc < out_channels_; ++oc) {
-        float* dst = out + n * out_stride + static_cast<std::int64_t>(oc) * out_hw;
+        float* dst = out + static_cast<std::int64_t>(oc) * out_hw;
         ops::bias_activate(dst, dst, out_hw, bias != nullptr ? bias + oc : nullptr, act);
       }
     }
+    return output;
+  }
+  // int8 serving path: quantize the (possibly BN-folded) weights per
+  // row once per call, and the activations with ONE per-tensor scale
+  // over the whole batch (max|x|/127, computed once before the image
+  // loop; it makes the codes slightly coarser than per-image scales for
+  // images quieter than the batch peak, the usual per-tensor batching
+  // tradeoff). Each image is quantized to bytes and expanded with the
+  // byte-domain im2col; the bias lands in the requantization epilogue
+  // and the activation in one pass over the image's output block.
+  const int k_padded = ops::quantized_k_padded(patch);
+  auto* wq = reinterpret_cast<std::int8_t*>(workspace.byte_buffer(
+      ops::Workspace::kQuantWeights, static_cast<std::size_t>(out_channels_) * k_padded));
+  float* scales =
+      workspace.buffer(ops::Workspace::kQuantScales, static_cast<std::size_t>(out_channels_));
+  auto* row_sums = reinterpret_cast<std::int32_t*>(workspace.byte_buffer(
+      ops::Workspace::kQuantRowSums,
+      static_cast<std::size_t>(out_channels_) * sizeof(std::int32_t)));
+  ops::quantize_weight_rows(weight, out_channels_, patch, wq, scales, row_sums);
+  const float a_scale =
+      ops::activation_scale(input.data(), static_cast<std::size_t>(batch) * in_stride);
+  std::uint8_t* tile =
+      workspace.byte_buffer(ops::Workspace::kQuantTile, static_cast<std::size_t>(in_stride));
+  std::uint8_t* act_codes = workspace.byte_buffer(ops::Workspace::kQuantAct,
+                                                  static_cast<std::size_t>(patch) * out_hw);
+  for (int n = 0; n < batch; ++n) {
+    float* out = output.data() + n * out_stride;
+    ops::quantize_activations_u8(input.data() + n * in_stride, static_cast<std::size_t>(in_stride),
+                                 a_scale, tile);
+    ops::im2col_u8(tile, g, act_codes);
+    ops::qgemm_u8s8(out_channels_, out_hw, patch, k_padded, wq, scales, row_sums, act_codes,
+                    a_scale, bias, out, out_hw);
+    ops::bias_activate(out, out, out_stride, nullptr, act);
   }
   return output;
 }

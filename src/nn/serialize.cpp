@@ -98,10 +98,6 @@ void ByteReader::read_bytes(void* dst, std::size_t n) {
   pos_ += n;
 }
 
-std::int64_t tensor_wire_bytes(const Shape& shape) {
-  return 4 + 4 * static_cast<std::int64_t>(shape.rank()) + 4 * shape.numel();
-}
-
 void append_tensor(std::vector<std::uint8_t>& out, const Tensor& t) {
   auto append_pod = [&out](const auto& value) {
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);

@@ -58,9 +58,6 @@ class ByteReader {
 // the element count is overflow-checked and validated against the
 // bytes actually present before anything is allocated.
 
-/// Serialized size of a tensor of this geometry (4 + 4*rank + 4*numel).
-std::int64_t tensor_wire_bytes(const Shape& shape);
-
 /// Appends the wire encoding of `t` to `out`.
 void append_tensor(std::vector<std::uint8_t>& out, const Tensor& t);
 

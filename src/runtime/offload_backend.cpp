@@ -7,18 +7,20 @@
 
 namespace meanet::runtime {
 
+std::int64_t OffloadBackend::payload_bytes(const Shape& image_shape,
+                                           const Shape& feature_shape) const {
+  std::int64_t bytes = 0;
+  if (needs_images()) bytes += image_shape.numel() / image_shape.dim(0);
+  if (needs_features()) bytes += sim::FeatureCloudNode::feature_bytes(feature_shape);
+  return bytes;
+}
+
 RawImageBackend::RawImageBackend(sim::CloudNode* cloud) : cloud_(cloud) {
   if (cloud_ == nullptr) throw std::invalid_argument("RawImageBackend: null CloudNode");
 }
 
 std::vector<int> RawImageBackend::classify(const OffloadPayload& payload) {
   return cloud_->classify(payload.images);
-}
-
-std::int64_t RawImageBackend::payload_bytes(const Shape& image_shape,
-                                            const Shape& /*feature_shape*/) const {
-  // 1 byte/pixel: the image travels as its 8-bit sensor representation.
-  return image_shape.numel() / image_shape.dim(0);
 }
 
 FeatureBackend::FeatureBackend(sim::FeatureCloudNode* cloud) : cloud_(cloud) {
@@ -29,16 +31,6 @@ std::vector<int> FeatureBackend::classify(const OffloadPayload& payload) {
   return cloud_->classify_features(payload.features);
 }
 
-std::int64_t FeatureBackend::payload_bytes(const Shape& /*image_shape*/,
-                                           const Shape& feature_shape) const {
-  return sim::FeatureCloudNode::feature_bytes(feature_shape);
-}
-
 std::vector<int> NullBackend::classify(const OffloadPayload& /*payload*/) { return {}; }
-
-std::int64_t NullBackend::payload_bytes(const Shape& /*image_shape*/,
-                                        const Shape& /*feature_shape*/) const {
-  return 0;
-}
 
 }  // namespace meanet::runtime

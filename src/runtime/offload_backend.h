@@ -46,23 +46,26 @@ class OffloadBackend {
   virtual bool needs_features() const { return false; }
 
   /// Upload bytes per offloaded instance for the given geometries
-  /// ([1,C,H,W] image shape, [1,c,h,w] feature shape).
+  /// ([1,C,H,W] image shape, [1,c,h,w] feature shape), priced from what
+  /// the backend ships: an image at 1 byte/pixel (its 8-bit sensor
+  /// representation) if needs_images(), plus
+  /// sim::FeatureCloudNode::feature_bytes if needs_features(). Every
+  /// backend that ships the same representations therefore costs the
+  /// same simulated airtime, in process or over the wire.
   virtual std::int64_t payload_bytes(const Shape& image_shape,
-                                     const Shape& feature_shape) const = 0;
+                                     const Shape& feature_shape) const;
 
   /// Human-readable backend description for logs and reports.
   virtual std::string describe() const = 0;
 };
 
 /// Raw-data offload (the paper's preferred mode): ships images to an
-/// independent, stronger cloud model. Payload priced at 1 byte/pixel
-/// (the image as an 8-bit upload).
+/// independent, stronger cloud model.
 class RawImageBackend : public OffloadBackend {
  public:
   explicit RawImageBackend(sim::CloudNode* cloud);
 
   std::vector<int> classify(const OffloadPayload& payload) override;
-  std::int64_t payload_bytes(const Shape& image_shape, const Shape& feature_shape) const override;
   std::string describe() const override { return "raw-image"; }
   bool needs_images() const override { return true; }
 
@@ -71,14 +74,12 @@ class RawImageBackend : public OffloadBackend {
 };
 
 /// Feature offload (partitioned network, Table I row 4): ships the
-/// main-trunk features to a cloud-side head. Payload priced at
-/// 4 bytes/element (float32 feature maps).
+/// main-trunk features to a cloud-side head.
 class FeatureBackend : public OffloadBackend {
  public:
   explicit FeatureBackend(sim::FeatureCloudNode* cloud);
 
   std::vector<int> classify(const OffloadPayload& payload) override;
-  std::int64_t payload_bytes(const Shape& image_shape, const Shape& feature_shape) const override;
   std::string describe() const override { return "feature"; }
   bool needs_features() const override { return true; }
 
@@ -91,7 +92,6 @@ class FeatureBackend : public OffloadBackend {
 class NullBackend : public OffloadBackend {
  public:
   std::vector<int> classify(const OffloadPayload& payload) override;
-  std::int64_t payload_bytes(const Shape& image_shape, const Shape& feature_shape) const override;
   std::string describe() const override { return "null"; }
 };
 

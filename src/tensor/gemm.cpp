@@ -91,15 +91,8 @@ int default_threads() {
   return static_cast<int>(parsed);
 }
 
-// Conv column tile budget: 64 MiB holds a 32-image CIFAR-scale batch
-// (the largest tile the model zoo produces is ~20 MiB) while a
-// batch-256 ImageNet-scale soak runs in chunks instead of a multi-GiB
-// workspace.
-constexpr std::size_t kDefaultBatchColumnsBudget = 64u << 20;
-
 std::atomic<bool> g_naive_kernels{env_flag("MEANET_NAIVE_KERNELS")};
 std::atomic<int> g_gemm_threads{default_threads()};
-std::atomic<std::size_t> g_batch_columns_budget{kDefaultBatchColumnsBudget};
 
 // ----- Reference kernels (the MEANET_NAIVE_KERNELS comparison path) ----
 
@@ -292,12 +285,6 @@ struct StripedJob {
   int ldb = 0;
   float* c = nullptr;
   int ldc = 0;
-  /// Batched-NCHW C layout (gemm_batched_nchw): when cols_per_image
-  /// > 0, C column j belongs to image j / cols_per_image and lands at
-  /// c + image * c_image_stride + i * ldc + (j % cols_per_image).
-  /// 0 = plain dense C.
-  int cols_per_image = 0;
-  std::int64_t c_image_stride = 0;
   detail::FloatKernel kernel;
   /// Row range per slot, MR-aligned except at m.
   std::vector<std::pair<int, int>> stripes;
@@ -338,53 +325,13 @@ void run_stripe(const StripedJob& job, int slot) {
         for (int jb = 0; jb < nc; jb += kNR) {
           const float* bpanel = bpack + static_cast<std::ptrdiff_t>(jb / kNR) * kc * kNR;
           const int nr = std::min(kNR, nc - jb);
-          const int jcol = j0 + jb;
-          // Dense C, or a batched-NCHW tile fully inside one image:
-          // the kernel writes straight through a base pointer + ldc.
-          float* cbase = job.c + static_cast<std::ptrdiff_t>(i0) * job.ldc + jcol;
-          bool direct = true;
-          if (job.cols_per_image > 0) {
-            const int image = jcol / job.cols_per_image;
-            const int jj = jcol - image * job.cols_per_image;
-            direct = jj + nr <= job.cols_per_image;
-            cbase = job.c + image * job.c_image_stride +
-                    static_cast<std::ptrdiff_t>(i0) * job.ldc + jj;
-          }
+          float* cbase = job.c + static_cast<std::ptrdiff_t>(i0) * job.ldc + j0 + jb;
           for (int ib = 0; ib < mc; ib += mr_tile) {
             const float* apanel =
                 apack + static_cast<std::ptrdiff_t>(ib / mr_tile) * kc * mr_tile;
             const int mr = std::min(mr_tile, mc - ib);
-            if (direct) {
-              job.kernel.fn(kc, apanel, bpanel,
-                            cbase + static_cast<std::ptrdiff_t>(ib) * job.ldc, job.ldc, mr, nr);
-              continue;
-            }
-            // The tile straddles an image boundary: bounce through a
-            // register-sized tile holding the mapped C values. The
-            // kernel still performs the one c += acc addition per
-            // element, so this path stays bit-identical to the dense
-            // write (loads and stores move bits, not values).
-            float tile[detail::kMaxMR * kNR];
-            for (int i = 0; i < mr; ++i) {
-              for (int j = 0; j < nr; ++j) {
-                const int col = jcol + j;
-                const int image = col / job.cols_per_image;
-                tile[i * kNR + j] =
-                    job.c[image * job.c_image_stride +
-                          static_cast<std::ptrdiff_t>(i0 + ib + i) * job.ldc +
-                          (col - image * job.cols_per_image)];
-              }
-            }
-            job.kernel.fn(kc, apanel, bpanel, tile, kNR, mr, nr);
-            for (int i = 0; i < mr; ++i) {
-              for (int j = 0; j < nr; ++j) {
-                const int col = jcol + j;
-                const int image = col / job.cols_per_image;
-                job.c[image * job.c_image_stride +
-                      static_cast<std::ptrdiff_t>(i0 + ib + i) * job.ldc +
-                      (col - image * job.cols_per_image)] = tile[i * kNR + j];
-              }
-            }
+            job.kernel.fn(kc, apanel, bpanel, cbase + static_cast<std::ptrdiff_t>(ib) * job.ldc,
+                          job.ldc, mr, nr);
           }
         }
       }
@@ -395,10 +342,9 @@ void run_stripe(const StripedJob& job, int slot) {
   }
 }
 
-/// Stripe planning + pool dispatch shared by gemm() and
-/// gemm_batched_nchw(): fans contiguous MR-aligned row stripes out
-/// over the persistent pool when the problem amortizes the handoff;
-/// otherwise runs inline on the calling thread.
+/// Stripe planning + pool dispatch of gemm(): fans contiguous
+/// MR-aligned row stripes out over the persistent pool when the problem
+/// amortizes the handoff; otherwise runs inline on the calling thread.
 void dispatch_striped(StripedJob& job) {
   const std::int64_t flops = 2ll * job.m * job.n * job.k;
   const int tiles = (job.m + job.kernel.mr - 1) / job.kernel.mr;
@@ -479,47 +425,6 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
   job.ldc = ldc;
   job.kernel = active_kernel();
   dispatch_striped(job);
-}
-
-void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float* a, int lda,
-                       const float* b, float* c, std::int64_t c_image_stride, int ldc) {
-  if (m < 0 || k < 0 || batch < 0 || cols_per_image < 0) {
-    throw std::invalid_argument("gemm_batched_nchw: negative dimension");
-  }
-  // beta = 0 semantics: overwrite every image's [m, cols_per_image]
-  // output block (accumulation across KC blocks goes through memory,
-  // exactly like gemm()).
-  for (int n = 0; n < batch; ++n) {
-    for (int i = 0; i < m; ++i) {
-      std::memset(c + n * c_image_stride + static_cast<std::ptrdiff_t>(i) * ldc, 0,
-                  sizeof(float) * static_cast<std::size_t>(cols_per_image));
-    }
-  }
-  if (m == 0 || k == 0 || batch == 0 || cols_per_image == 0) return;
-
-  StripedJob job;
-  job.m = m;
-  job.n = batch * cols_per_image;
-  job.k = k;
-  job.a = a;
-  job.lda = lda;
-  job.b = b;
-  job.ldb = job.n;
-  job.c = c;
-  job.ldc = ldc;
-  job.cols_per_image = cols_per_image;
-  job.c_image_stride = c_image_stride;
-  job.kernel = active_kernel();
-  dispatch_striped(job);
-}
-
-std::size_t batched_columns_budget() {
-  return g_batch_columns_budget.load(std::memory_order_relaxed);
-}
-
-void set_batched_columns_budget(std::size_t bytes) {
-  g_batch_columns_budget.store(bytes == 0 ? kDefaultBatchColumnsBudget : bytes,
-                               std::memory_order_relaxed);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

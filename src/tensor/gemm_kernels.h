@@ -17,10 +17,6 @@
 
 namespace meanet::ops::detail {
 
-/// Largest register-tile row count any kernel tier uses (the AVX2 /
-/// NEON 6x16 tiles); sizes the bounce tile of the batched-NCHW driver.
-constexpr int kMaxMR = 6;
-
 /// apanel: kc groups of `mr_stride` floats; bpanel: kc groups of NR=16
 /// floats. Writes the valid mr x nr region of the tile into C.
 using MicroKernelFn = void (*)(int kc, const float* apanel, const float* bpanel, float* c,

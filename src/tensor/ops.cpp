@@ -11,15 +11,12 @@ namespace meanet::ops {
 namespace {
 
 /// Shared im2col writer over floats (fill 0) or u8 codes (fill the
-/// activation zero point). `columns` points at the image's own column
-/// block; `col_ld` is the row stride of the enclosing matrix — out_hw
-/// for the single-image entry point, batch*out_hw when a batch of
-/// blocks sits side by side (the _batched entry points).
+/// activation zero point) into one image's [patch, out_hw] matrix.
 template <typename T>
-void im2col_into(const T* image, const ConvGeometry& g, T* columns, std::ptrdiff_t col_ld,
-                 T fill) {
+void im2col_into(const T* image, const ConvGeometry& g, T* columns, T fill) {
   const int out_h = g.out_height();
   const int out_w = g.out_width();
+  const std::ptrdiff_t col_ld = static_cast<std::ptrdiff_t>(out_h) * out_w;
   if (g.kernel == 1 && g.stride == 1 && g.padding == 0) {
     // Pointwise conv: each column row is its input channel plane
     // verbatim — one copy per plane instead of one per output row.
@@ -106,28 +103,11 @@ void bias_activate(const float* src, float* dst, std::int64_t n, const float* bi
 }
 
 void im2col(const float* image, const ConvGeometry& g, float* columns) {
-  im2col_into<float>(image, g, columns, g.out_height() * g.out_width(), 0.0f);
+  im2col_into<float>(image, g, columns, 0.0f);
 }
 
-void im2col_batched(const float* images, std::int64_t image_stride, int batch,
-                    const ConvGeometry& g, float* columns) {
-  const int out_hw = g.out_height() * g.out_width();
-  const std::ptrdiff_t col_ld = static_cast<std::ptrdiff_t>(batch) * out_hw;
-  for (int n = 0; n < batch; ++n) {
-    im2col_into<float>(images + n * image_stride, g,
-                       columns + static_cast<std::ptrdiff_t>(n) * out_hw, col_ld, 0.0f);
-  }
-}
-
-void im2col_u8_batched(const std::uint8_t* images, std::int64_t image_stride, int batch,
-                       const ConvGeometry& g, std::uint8_t* columns) {
-  const int out_hw = g.out_height() * g.out_width();
-  const std::ptrdiff_t col_ld = static_cast<std::ptrdiff_t>(batch) * out_hw;
-  for (int n = 0; n < batch; ++n) {
-    im2col_into<std::uint8_t>(images + n * image_stride, g,
-                              columns + static_cast<std::ptrdiff_t>(n) * out_hw, col_ld,
-                              kU8ZeroPoint);
-  }
+void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns) {
+  im2col_into<std::uint8_t>(image, g, columns, kU8ZeroPoint);
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {

@@ -45,20 +45,6 @@ void set_naive_kernels(bool naive);
 int gemm_threads();
 void set_gemm_threads(int threads);
 
-/// Byte budget of the conv column tile. Conv2d runs one schedule for
-/// the float and int8 tiers: the batch goes through in chunks of as
-/// many images as this budget holds (always at least one), each chunk
-/// one im2col + one GEMM (gemm_batched_nchw / qgemm_u8s8_batched_nchw)
-/// into NCHW output. On a one-thread pool the float tile is also
-/// clamped to 512 KiB so it stays L2-resident between im2col and
-/// packing. Chunking never changes results: each image's accumulation
-/// order is the per-image GEMM's, and the int8 activation scale is
-/// computed over the whole batch before chunking. Default 64 MiB;
-/// set_batched_columns_budget(0) restores it, and a budget of 1 byte
-/// forces one image per chunk (the per-image schedule).
-std::size_t batched_columns_budget();
-void set_batched_columns_budget(std::size_t bytes);
-
 // ----- Activation epilogue ---------------------------------------------
 
 /// Pointwise activation a conv kernel applies as it writes its output,
@@ -100,22 +86,6 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha,
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,
               bool transpose_b = false);
 
-/// One GEMM over a whole batch of im2col column blocks, writing
-/// straight into NCHW output. A is [m, k] (lda = row stride), B is the
-/// batched column matrix [k, batch * cols_per_image] (row stride
-/// batch * cols_per_image); the C element (i, j) lands at
-///   c + (j / cols_per_image) * c_image_stride
-///     + i * ldc + (j % cols_per_image)
-/// so image b's [m, cols_per_image] block sits at its own NCHW offset
-/// with no epilogue copy. Overwrites the output region (beta = 0
-/// semantics). Per C element the k-blocking and accumulation order are
-/// exactly those of a per-image gemm() call, so the result is
-/// bit-identical to looping gemm() over the batch at every GemmPool
-/// width (tiles that straddle an image boundary bounce through a
-/// register-sized tile with the same add-into-C arithmetic).
-void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float* a, int lda,
-                       const float* b, float* c, std::int64_t c_image_stride, int ldc);
-
 /// Geometry of a convolution; shared by conv layers and the stats counter.
 struct ConvGeometry {
   int in_channels = 0;
@@ -136,21 +106,12 @@ struct ConvGeometry {
 /// `columns` must have patch_size() * out_h * out_w elements.
 void im2col(const float* image, const ConvGeometry& g, float* columns);
 
-/// Whole-batch im2col: image n (NCHW images `image_stride` floats
-/// apart) lands in columns [n*out_hw, (n+1)*out_hw) of one
-/// [patch_size, batch*out_hw] matrix — the B operand of
-/// gemm_batched_nchw. Each image's block holds exactly what a
-/// per-image im2col would have produced.
-void im2col_batched(const float* images, std::int64_t image_stride, int batch,
-                    const ConvGeometry& g, float* columns);
-
-/// Byte-domain twin of im2col_batched for the int8 serving path.
-/// Padding positions are filled with qgemm.h's activation zero point
-/// (the code a float 0 quantizes to), so quantize-then-im2col produces
-/// exactly the byte matrix im2col-then-quantize would, at a quarter of
-/// the memory traffic and without the float scratch.
-void im2col_u8_batched(const std::uint8_t* images, std::int64_t image_stride, int batch,
-                       const ConvGeometry& g, std::uint8_t* columns);
+/// Byte-domain twin of im2col for the int8 serving path. Padding
+/// positions are filled with qgemm.h's activation zero point (the code
+/// a float 0 quantizes to), so quantize-then-im2col produces exactly
+/// the byte matrix im2col-then-quantize would, at a quarter of the
+/// memory traffic and without the float scratch.
+void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns);
 
 /// Inverse scatter-add of im2col: accumulates patch-matrix gradients back
 /// into an image gradient buffer of size C*H*W (which must be zeroed by

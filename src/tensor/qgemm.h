@@ -108,23 +108,4 @@ void qgemm_u8s8(int rows, int n, int k, int k_padded, const std::int8_t* wq, con
                 const std::int32_t* row_sums, const std::uint8_t* act, float a_scale,
                 const float* bias, float* c, int ldc);
 
-/// Whole-batch qgemm into NCHW output: `act` is the batched byte
-/// im2col [k, batch * cols_per_image] (ops::im2col_u8_batched), and
-/// image b's [rows, cols_per_image] result block lands at
-/// c + b * c_image_stride (row stride ldc). One kernel invocation
-/// covers the full batch width — activations are packed once and every
-/// weight row is streamed once per batch instead of once per image.
-/// The integer accumulation is exact and the epilogue math per element
-/// is identical to qgemm_u8s8, so results are bit-identical to calling
-/// the per-image entry point with the same a_scale, at any batch
-/// chunking. (The intermediate C is a contiguous workspace block
-/// scattered per image — the VNNI kernels keep their dense row
-/// writes.) `activation` is applied to every element as it lands in C:
-/// in the per-image scatter, or in one pass over C at batch 1.
-void qgemm_u8s8_batched_nchw(int rows, int batch, int cols_per_image, int k, int k_padded,
-                             const std::int8_t* wq, const float* scales,
-                             const std::int32_t* row_sums, const std::uint8_t* act,
-                             float a_scale, const float* bias, Activation activation, float* c,
-                             std::int64_t c_image_stride, int ldc);
-
 }  // namespace meanet::ops

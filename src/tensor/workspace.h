@@ -43,8 +43,6 @@ class Workspace {
     kQuantTile,  // u8-quantized input image, fed to the byte-domain im2col
     kQuantAct,
     kQuantPack,
-    kQuantOut,  // contiguous [rows, n] float C of the batched qgemm,
-                // scattered per image into NCHW by the epilogue
     kNumByteSlots,
   };
 

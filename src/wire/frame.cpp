@@ -268,12 +268,4 @@ std::uint32_t decode_stats_request(const std::vector<std::uint8_t>& bytes) {
   });
 }
 
-std::int64_t request_wire_bytes(const Shape& image_shape, const Shape& feature_shape,
-                                bool images, bool features) {
-  std::int64_t bytes = static_cast<std::int64_t>(kFrameHeaderBytes) + 4;  // header + flags
-  if (images) bytes += nn::tensor_wire_bytes(image_shape);
-  if (features) bytes += nn::tensor_wire_bytes(feature_shape);
-  return bytes;
-}
-
 }  // namespace meanet::wire

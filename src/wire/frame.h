@@ -132,13 +132,4 @@ constexpr std::uint32_t kStatsFlagDiagSnapshot = 1u << 0;
 std::vector<std::uint8_t> encode_stats_request(std::uint32_t flags);
 std::uint32_t decode_stats_request(const std::vector<std::uint8_t>& bytes);
 
-/// Wire bytes of a single-instance offload request of the given
-/// geometries ([1,C,H,W] / [1,c,h,w]): frame header + flags + the
-/// present tensors' encodings. What a WireBackend's payload_bytes()
-/// prices and what the ablation bench reports as framing overhead —
-/// note float32 tensors cost 4 bytes/element where the in-process
-/// RawImageBackend prices an 8-bit upload at 1.
-std::int64_t request_wire_bytes(const Shape& image_shape, const Shape& feature_shape,
-                                bool images, bool features);
-
 }  // namespace meanet::wire

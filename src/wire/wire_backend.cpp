@@ -92,11 +92,6 @@ std::vector<int> WireBackend::classify(const runtime::OffloadPayload& payload) {
   return decode_offload_response(reply.payload);
 }
 
-std::int64_t WireBackend::payload_bytes(const Shape& image_shape,
-                                        const Shape& feature_shape) const {
-  return request_wire_bytes(image_shape, feature_shape, send_images_, send_features_);
-}
-
 std::string WireBackend::describe() const {
   if (config_.transport_factory) return "wire(custom-transport)";
   return "wire(unix:" + config_.socket_path + ")";

@@ -59,8 +59,6 @@ class WireBackend : public runtime::OffloadBackend {
 
   bool needs_images() const override { return send_images_; }
   bool needs_features() const override { return send_features_; }
-  std::int64_t payload_bytes(const Shape& image_shape,
-                             const Shape& feature_shape) const override;
   std::string describe() const override;
 
   /// Fetches the daemon's counters over the wire (kStatsRequest) —

@@ -15,9 +15,9 @@
 //    TSAN to verify the absence of data races mechanically);
 //  - the row-striped GemmPool threading is bit-identical to
 //    single-thread at every pool width;
-//  - the chunked conv schedule is bit-identical to forwarding each
-//    image alone at every column budget and pool width (float), and
-//    at every chunk size and pool width against itself (int8);
+//  - a batched conv forward is bit-identical to forwarding each image
+//    alone at every pool width (float) and bit-identical across pool
+//    widths (int8), and its column scratch is one image wide;
 //  - the runtime-dispatched SIMD microkernel matches the portable
 //    4x16 within float-rounding tolerance, and each fixed kernel is
 //    bit-identical across thread counts;
@@ -47,6 +47,7 @@
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
 #include "tensor/simd.h"
+#include "tensor/workspace.h"
 #include "tiny_models.h"
 
 namespace meanet {
@@ -462,22 +463,10 @@ TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
   EXPECT_TRUE(allclose(naive, fast, 1e-6f));
 }
 
-// ----- Chunked conv schedule (ops::batched_columns_budget) -------------
+// ----- One image per conv GEMM -----------------------------------------
 
-/// RAII set/restore of the conv column byte budget.
-class ColumnBudgetScope {
- public:
-  explicit ColumnBudgetScope(std::size_t bytes) : previous_(ops::batched_columns_budget()) {
-    ops::set_batched_columns_budget(bytes);
-  }
-  ~ColumnBudgetScope() { ops::set_batched_columns_budget(previous_); }
-
- private:
-  std::size_t previous_;
-};
-
-/// The reference every conv schedule must match: each image of `x`
-/// forwarded alone as a batch of one.
+/// The reference every batched conv forward must match: each image of
+/// `x` forwarded alone as a batch of one.
 Tensor forward_each_image_alone(nn::Conv2d& conv, const Tensor& x) {
   const int batch = x.shape().batch();
   Tensor out(conv.output_shape(x.shape()));
@@ -489,78 +478,47 @@ Tensor forward_each_image_alone(nn::Conv2d& conv, const Tensor& x) {
   return out;
 }
 
-/// Column budgets of the parity tests: everything in one tile, two
-/// images per chunk, and one image per chunk.
-enum class Budget { kOneGiB, kTwoImages, kOneByte };
-
-void PrintTo(Budget budget, std::ostream* os) {
-  static const char* const kNames[] = {"1GiB", "2images", "1byte"};
-  *os << kNames[static_cast<int>(budget)];
-}
-
-std::size_t budget_bytes(Budget budget, std::size_t per_image_bytes) {
-  switch (budget) {
-    case Budget::kOneGiB:
-      return std::size_t{1} << 30;
-    case Budget::kTwoImages:
-      return 2 * per_image_bytes;
-    case Budget::kOneByte:
-      break;
-  }
-  return 1;
-}
-
-/// Float conv of `x` under `budget` at pool widths 1, 2 and 4 must be
-/// bit-identical to forwarding each image alone.
-void expect_float_matches_images_alone(nn::Conv2d& conv, const Tensor& x, Budget budget) {
+/// Float conv of `x` at pool widths 1, 2 and 4 must be bit-identical to
+/// forwarding each image alone.
+void expect_float_matches_images_alone(nn::Conv2d& conv, const Tensor& x) {
   const Tensor alone = forward_each_image_alone(conv, x);
-  const Shape out = alone.shape();
-  const std::size_t patch = static_cast<std::size_t>(conv.in_channels()) * conv.kernel() *
-                            conv.kernel();
-  const std::size_t per_image_bytes = patch * out.dim(2) * out.dim(3) * sizeof(float);
-  ColumnBudgetScope scope(budget_bytes(budget, per_image_bytes));
   const int before = ops::gemm_threads();
   for (const int threads : {1, 2, 4}) {
     ops::set_gemm_threads(threads);
     const Tensor batched = conv.forward(x, nn::Mode::kEval);
-    // Exactly equal, not merely close: each chunk's GEMM runs every
-    // image's column block through the same k-blocking as the
-    // one-image call.
-    EXPECT_TRUE(allclose(alone, batched, 0.0f))
-        << "threads=" << threads << " budget=" << ::testing::PrintToString(budget);
+    // Exactly equal, not merely close: striping the GEMM rows over the
+    // pool never changes an element's accumulation order.
+    EXPECT_TRUE(allclose(alone, batched, 0.0f)) << "threads=" << threads;
   }
   ops::set_gemm_threads(before);
 }
 
-class BatchedParity : public ::testing::TestWithParam<std::tuple<int, int, int, Budget>> {};
-// batch, stride, padding, column budget
+class BatchedParity : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+// batch, stride, padding
 
 TEST_P(BatchedParity, FloatIsBitIdenticalToEachImageAlone) {
-  const auto [batch, stride, padding, budget] = GetParam();
+  const auto [batch, stride, padding] = GetParam();
   util::Rng rng(static_cast<std::uint64_t>(batch * 911 + stride * 31 + padding));
   nn::Conv2d conv(3, 8, 3, stride, padding, /*bias=*/true, rng);
   const int size = 9;  // odd, so strides hit ragged edges
   if (conv.output_shape(Shape{1, 3, size, size}).height() <= 0) GTEST_SKIP();
   const Tensor x = Tensor::normal(Shape{batch, 3, size, size}, rng);
-  expect_float_matches_images_alone(conv, x, budget);
+  expect_float_matches_images_alone(conv, x);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeededShapes, BatchedParity,
                          ::testing::Combine(::testing::Values(1, 3, 32),
                                             ::testing::Values(1, 2),
-                                            ::testing::Values(0, 1, 2),
-                                            ::testing::Values(Budget::kOneGiB,
-                                                              Budget::kTwoImages,
-                                                              Budget::kOneByte)));
+                                            ::testing::Values(0, 1, 2)));
 
 TEST(BatchedParity, FloatIsBitIdenticalAtOneTwoAndFourThreads) {
   util::Rng rng(83);
-  // Big enough that the batched GEMM crosses the multi-thread flops
-  // threshold (the whole point: per-image GEMMs of this layer stay
-  // below it, the batched one fans out).
-  nn::Conv2d conv(8, 32, 3, 1, 1, /*bias=*/true, rng);
-  const Tensor x = Tensor::normal(Shape{8, 8, 14, 14}, rng);
-  expect_float_matches_images_alone(conv, x, Budget::kOneGiB);
+  // Big enough that each image's GEMM (32 x 576 x 144, ~5.3 MFLOP)
+  // crosses the multi-thread flops threshold, so widths 2 and 4
+  // really stripe it over the pool.
+  nn::Conv2d conv(16, 32, 3, 1, 1, /*bias=*/true, rng);
+  const Tensor x = Tensor::normal(Shape{4, 16, 24, 24}, rng);
+  expect_float_matches_images_alone(conv, x);
 }
 
 TEST(BatchedParity, FloatIsBitIdenticalWhenOneImageFillsTheNcPanel) {
@@ -569,9 +527,7 @@ TEST(BatchedParity, FloatIsBitIdenticalWhenOneImageFillsTheNcPanel) {
   // out_hw = 1024 columns, a full NC panel of the blocked GEMM.
   nn::Conv2d conv(3, 8, 3, 1, 1, /*bias=*/true, rng);
   const Tensor x = Tensor::normal(Shape{4, 3, 32, 32}, rng);
-  for (const Budget budget : {Budget::kOneGiB, Budget::kTwoImages, Budget::kOneByte}) {
-    expect_float_matches_images_alone(conv, x, budget);
-  }
+  expect_float_matches_images_alone(conv, x);
 }
 
 TEST(BatchedParity, WholeBatchInt8TracksPerImageScalesWithinTolerance) {
@@ -595,33 +551,51 @@ TEST(BatchedParity, WholeBatchInt8TracksPerImageScalesWithinTolerance) {
   }
 }
 
-TEST(BatchedParity, Int8BatchedIsBitIdenticalAcrossThreadsAndChunks) {
+TEST(BatchedParity, Int8IsBitIdenticalAcrossThreads) {
   util::Rng rng(101);
   nn::Conv2d conv(8, 16, 3, 1, 1, /*bias=*/true, rng);
   const Tensor x = Tensor::normal(Shape{5, 8, 12, 12}, rng);
   ops::QuantizedScope quantized(true);
   const int before = ops::gemm_threads();
   ops::set_gemm_threads(1);
-  Tensor baseline;
-  {
-    ColumnBudgetScope budget(1u << 30);
-    baseline = conv.forward(x, nn::Mode::kEval);
-  }
-  // The activation scale is computed over the whole batch BEFORE
-  // chunking (max-abs is chunk-invariant), so the int8 batched path is
-  // bit-identical at any chunk size and any pool width.
-  const std::size_t per_image_bytes = 8u * 9u * 12u * 12u;  // patch * out_hw u8 bytes
-  for (const int threads : {1, 2, 4}) {
+  const Tensor baseline = conv.forward(x, nn::Mode::kEval);
+  // The activation scale is computed over the whole batch before the
+  // image loop and the integer accumulation is exact, so the int8 path
+  // is bit-identical at any pool width.
+  for (const int threads : {2, 4}) {
     ops::set_gemm_threads(threads);
-    for (const std::size_t budget_bytes :
-         {std::size_t{1u << 30}, 2 * per_image_bytes, std::size_t{1}}) {
-      ColumnBudgetScope budget(budget_bytes);
-      const Tensor run = conv.forward(x, nn::Mode::kEval);
-      EXPECT_TRUE(allclose(baseline, run, 0.0f))
-          << "threads=" << threads << " budget=" << budget_bytes;
-    }
+    const Tensor run = conv.forward(x, nn::Mode::kEval);
+    EXPECT_TRUE(allclose(baseline, run, 0.0f)) << "threads=" << threads;
   }
   ops::set_gemm_threads(before);
+}
+
+TEST(BatchedParity, ConvScratchIsOneImageOfColumns) {
+  // A ResNet-B-shaped edge model (CIFAR-like 3x16x16 input, stages
+  // 8/16/32). Its widest im2col is the stage-1 3x3 conv over 8 channels
+  // at 16x16: 8*3*3 * 16*16 floats per image. A batch-32 forward on a
+  // 4-wide pool must never hold more conv columns than that.
+  constexpr std::size_t kWidestImageColumns = 8 * 3 * 3 * 16 * 16;
+  core::ResNetConfig config;
+  config.blocks_per_stage = 1;
+  config.channels = {8, 16, 32};
+  config.image_channels = 3;
+  config.num_classes = 20;
+  util::Rng rng(113);
+  core::MEANet net = core::build_resnet_meanet_b(config, 10, core::FusionMode::kSum, rng);
+  const Tensor x = Tensor::normal(Shape{32, 3, 16, 16}, rng);
+  const int before = ops::gemm_threads();
+  ops::set_gemm_threads(4);
+  std::size_t columns = 0;
+  // A fresh thread owns a fresh Workspace, so earlier tests' scratch
+  // cannot mask what this forward asked for.
+  std::thread([&] {
+    (void)net.forward_main(x, nn::Mode::kEval);
+    columns = ops::Workspace::tls().capacity(ops::Workspace::kIm2col);
+  }).join();
+  ops::set_gemm_threads(before);
+  EXPECT_GT(columns, 0u);
+  EXPECT_LE(columns, kWidestImageColumns);
 }
 
 TEST(BatchedParity, DepthwiseThreadingIsBitIdenticalAtOneTwoAndFourThreads) {
@@ -658,7 +632,7 @@ T im2col_element(const T* image, const ops::ConvGeometry& g, int r, int j, T fil
   return image[(static_cast<std::int64_t>(c) * g.in_height + ih) * g.in_width + iw];
 }
 
-TEST(BatchedParity, Im2colBatchedMatchesPerImageBlocks) {
+TEST(BatchedParity, Im2colMatchesDefinition) {
   util::Rng rng(107);
   // A padded strided 3x3, and the pointwise 1x1/s1/p0 geometry that
   // takes the one-copy-per-plane path.
@@ -671,63 +645,25 @@ TEST(BatchedParity, Im2colBatchedMatchesPerImageBlocks) {
     g.kernel = kernel;
     g.stride = stride;
     g.padding = padding;
-    const int batch = 3;
     const int out_hw = g.out_height() * g.out_width();
     const int patch = g.patch_size();
-    const std::int64_t image_stride = 3 * 9 * 7;
-    const Tensor images = Tensor::normal(Shape{batch, 3, 9, 7}, rng);
-    std::vector<std::uint8_t> codes(static_cast<std::size_t>(batch) * image_stride);
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      codes[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    std::vector<float> batched(static_cast<std::size_t>(patch) * batch * out_hw);
-    ops::im2col_batched(images.data(), image_stride, batch, g, batched.data());
-    std::vector<std::uint8_t> batched_u8(batched.size());
-    ops::im2col_u8_batched(codes.data(), image_stride, batch, g, batched_u8.data());
-    std::vector<float> single(static_cast<std::size_t>(patch) * out_hw);
-    for (int n = 0; n < batch; ++n) {
-      const float* image = images.data() + n * image_stride;
-      const std::uint8_t* image_codes = codes.data() + n * image_stride;
-      ops::im2col(image, g, single.data());
-      for (int r = 0; r < patch; ++r) {
-        for (int j = 0; j < out_hw; ++j) {
-          const std::size_t at = static_cast<std::size_t>(r) * batch * out_hw + n * out_hw + j;
-          ASSERT_EQ(single[static_cast<std::size_t>(r) * out_hw + j], batched[at])
-              << "k=" << kernel << " n=" << n << " r=" << r << " j=" << j;
-          ASSERT_EQ(im2col_element(image, g, r, j, 0.0f), batched[at])
-              << "k=" << kernel << " n=" << n << " r=" << r << " j=" << j;
-          // Byte-domain padding is the activation zero point.
-          ASSERT_EQ(im2col_element(image_codes, g, r, j, std::uint8_t{128}), batched_u8[at])
-              << "k=" << kernel << " n=" << n << " r=" << r << " j=" << j;
-        }
+    const Tensor image = Tensor::normal(Shape{1, 3, 9, 7}, rng);
+    std::vector<std::uint8_t> codes(static_cast<std::size_t>(image.numel()));
+    for (std::uint8_t& code : codes) code = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    std::vector<float> columns(static_cast<std::size_t>(patch) * out_hw);
+    ops::im2col(image.data(), g, columns.data());
+    std::vector<std::uint8_t> columns_u8(columns.size());
+    ops::im2col_u8(codes.data(), g, columns_u8.data());
+    for (int r = 0; r < patch; ++r) {
+      for (int j = 0; j < out_hw; ++j) {
+        const std::size_t at = static_cast<std::size_t>(r) * out_hw + j;
+        ASSERT_EQ(im2col_element(image.data(), g, r, j, 0.0f), columns[at])
+            << "k=" << kernel << " r=" << r << " j=" << j;
+        // Byte-domain padding is the activation zero point.
+        ASSERT_EQ(im2col_element(codes.data(), g, r, j, std::uint8_t{128}), columns_u8[at])
+            << "k=" << kernel << " r=" << r << " j=" << j;
       }
     }
-  }
-}
-
-TEST(BatchedParity, GemmBatchedNchwMatchesLoopedGemm) {
-  util::Rng rng(109);
-  const int m = 17, k = 23, batch = 3, cols = 29;
-  const Tensor a = Tensor::normal(Shape{m, k}, rng);
-  const Tensor b = Tensor::normal(Shape{k, batch * cols}, rng);
-  // Per-image C blocks sit one image_stride apart, like NCHW output
-  // planes with extra channels in between.
-  const std::int64_t image_stride = static_cast<std::int64_t>(m) * cols + 11;
-  std::vector<float> expected(static_cast<std::size_t>(batch) * image_stride, -7.0f);
-  std::vector<float> actual = expected;
-  std::vector<float> b_image(static_cast<std::size_t>(k) * cols);
-  for (int n = 0; n < batch; ++n) {
-    for (int r = 0; r < k; ++r) {
-      std::copy_n(b.data() + static_cast<std::size_t>(r) * batch * cols + n * cols, cols,
-                  b_image.data() + static_cast<std::size_t>(r) * cols);
-    }
-    ops::gemm(false, false, m, cols, k, 1.0f, a.data(), k, b_image.data(), cols, 0.0f,
-              expected.data() + n * image_stride, cols);
-  }
-  ops::gemm_batched_nchw(m, k, batch, cols, a.data(), k, b.data(), actual.data(), image_stride,
-                         cols);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], actual[i]) << "i=" << i;  // bit-identical, padding untouched
   }
 }
 

@@ -3,6 +3,8 @@
 // submit/drain determinism.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "runtime/session.h"
 
 #include "core/builders.h"
@@ -10,6 +12,7 @@
 #include "sim/cloud_node.h"
 #include "sim/feature_cloud.h"
 #include "tiny_models.h"
+#include "wire/wire_backend.h"
 
 namespace meanet::runtime {
 namespace {
@@ -276,6 +279,27 @@ TEST(OffloadBackend, PayloadBytesMatchModeGeometry) {
   EXPECT_EQ(raw.payload_bytes(image, feature), image.numel());
   EXPECT_EQ(feat.payload_bytes(image, feature), sim::FeatureCloudNode::feature_bytes(feature));
   EXPECT_EQ(none.payload_bytes(image, feature), 0);
+}
+
+TEST(OffloadBackend, WirePricesMatchInProcessBackends) {
+  Fixture& f = Fixture::instance();
+  const Shape image = f.ds.test.instance_shape();
+  const Shape feature = f.net.main_trunk().output_shape(image);
+  const std::int64_t raw = RawImageBackend(&f.cloud).payload_bytes(image, feature);
+  const std::int64_t feat = FeatureBackend(&f.feature_cloud).payload_bytes(image, feature);
+  // The wire hop ships the same representations, so it costs the same
+  // simulated airtime; nothing is dialed until classify().
+  for (const auto& [images, features, expected] :
+       {std::tuple{true, false, raw}, std::tuple{false, true, feat},
+        std::tuple{true, true, raw + feat}}) {
+    wire::WireBackendConfig config;
+    config.socket_path = "/nonexistent/meanet.sock";
+    config.send_images = images;
+    config.send_features = features;
+    const wire::WireBackend wire(config);
+    EXPECT_EQ(wire.payload_bytes(image, feature), expected)
+        << "images=" << images << " features=" << features;
+  }
 }
 
 TEST(EngineConfig, InvalidConfigsAreRejected) {

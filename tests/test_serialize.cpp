@@ -272,7 +272,8 @@ TEST(SerializeHardening, WireTensorRoundTripAndTruncation) {
   const Tensor t = Tensor::normal(Shape{2, 3, 4, 4}, rng);
   std::vector<std::uint8_t> bytes;
   append_tensor(bytes, t);
-  EXPECT_EQ(static_cast<std::int64_t>(bytes.size()), tensor_wire_bytes(t.shape()));
+  // rank u32 + 4 dims i32 + float32 data.
+  EXPECT_EQ(static_cast<std::int64_t>(bytes.size()), 4 + 4 * 4 + 4 * t.numel());
 
   ByteReader reader(bytes.data(), bytes.size());
   const Tensor back = read_tensor(reader);

@@ -320,16 +320,6 @@ TEST(Codec, StatsRejectsHostileCounts) {
   EXPECT_THROW(decode_stats(bytes), ProtocolError);
 }
 
-TEST(Codec, RequestWireBytesPricesTheFraming) {
-  const Shape image{1, 3, 8, 8};
-  const Shape feature{1, 4, 2, 2};
-  // header + flags + (rank + dims + f32 data) per shipped tensor.
-  const std::int64_t images_only = request_wire_bytes(image, feature, true, false);
-  EXPECT_EQ(images_only, 24 + 4 + (4 + 16 + 4 * image.numel()));
-  const std::int64_t both = request_wire_bytes(image, feature, true, true);
-  EXPECT_EQ(both, images_only + 4 + 16 + 4 * feature.numel());
-}
-
 // ---- Pipe transport semantics the framing relies on ----
 
 TEST(Pipe, DrainsBufferedBytesAfterClose) {
